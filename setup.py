@@ -1,26 +1,4 @@
-# Builds the optional compiled kernel.  The package is fully functional
-# without it (a pure-Python twin is selected at import time), so any
-# failure here degrades to a warning instead of aborting the install.
-#
-#   ROOTFIRE_NO_EXT=1 pip install -e . --no-build-isolation   # skip ext
-
-import os
-
 from setuptools import find_packages, setup
-
-ext_modules = []
-if not os.environ.get("ROOTFIRE_NO_EXT"):
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            ["src/rootfire/_speedups.pyx"],
-            compiler_directives={"language_level": 3},
-        )
-    except Exception as exc:  # pragma: no cover - build-env dependent
-        import warnings
-
-        warnings.warn(f"rootfire: building without compiled kernel ({exc})")
 
 # name/version/layout mirror pyproject.toml so that pre-PEP-621 setuptools
 # (as seeded into fresh virtualenvs on older distros) still installs a
@@ -31,5 +9,4 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     entry_points={"console_scripts": ["rootfire = rootfire.cli:main"]},
-    ext_modules=ext_modules,
 )

@@ -619,8 +619,9 @@ def main(argv=None) -> int:
     saved_cap = os.environ.get("ROOTFIRE_MAX_POINTS")
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "max_points", None):
+        if getattr(args, "max_points", None) is not None:
             os.environ["ROOTFIRE_MAX_POINTS"] = str(args.max_points)
+        pt.point_cap()  # a bad cap is an error even where no command reads it
         if getattr(args, "k_max_alias", None) is not None:
             args.k_max = args.k_max_alias
         handler = {

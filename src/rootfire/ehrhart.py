@@ -12,8 +12,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .errors import FitInconsistentError, PreconditionError
-from .firing import FiringParams, fiber, rho_of_k, stabilization_label
+from .errors import DomainError, FitInconsistentError, PreconditionError
+from .firing import (
+    _KIND_ALIASES,
+    _KIND_SHORT,
+    FiringParams,
+    fiber,
+    rho_of_k,
+    stabilization_label,
+)
 from .polytope import enumerate_perm
 from .rootsys import RootSystem, Weight, is_dominant, weyl_orbit
 
@@ -178,9 +185,6 @@ def _count_perm(rs: RootSystem, lam_dom: Weight, params: FiringParams) -> int:
     return len(enumerate_perm(rs, shifted).points)
 
 
-_KIND_KEY = {"sym": "sym", "symmetric": "sym", "tr": "tr", "truncated": "tr"}
-
-
 def _fit_once(rs, label, flavor, counter, d) -> FitReport:
     notes: list[str] = []
     if rs.simply_laced:
@@ -286,11 +290,13 @@ def fit_ehrhart_like(
     rs: RootSystem, label: Weight, kind: str, degree_bound: int | None = None
 ) -> FitReport:
     """Fit the fiber-count polynomial of one stabilization label."""
-    flavor = _KIND_KEY[kind]
+    full_kind = _KIND_ALIASES.get(kind)
+    flavor = _KIND_SHORT.get(full_kind)
+    if flavor not in ("sym", "tr"):
+        raise DomainError(f"Ehrhart-like fits need kind sym or tr, got {kind!r}")
 
     def counter(ks: int, kl: int) -> int:
-        params = FiringParams.make("symmetric" if flavor == "sym" else "truncated", ks, kl)
-        return count_fiber(rs, label, params)
+        return count_fiber(rs, label, FiringParams.make(full_kind, ks, kl))
 
     return _fit_with_retry(rs, label, flavor, counter, degree_bound)
 

@@ -51,6 +51,8 @@ _KIND_ALIASES = {
     "central": "central",
 }
 
+_KIND_SHORT = {"symmetric": "sym", "truncated": "tr", "central": "central"}
+
 
 @dataclass(frozen=True)
 class FiringParams:
@@ -88,7 +90,7 @@ class FiringParams:
         return max(self.k_short, self.k_long)
 
     def label(self) -> str:
-        short = {"symmetric": "sym", "truncated": "tr", "central": "central"}[self.kind]
+        short = _KIND_SHORT[self.kind]
         if self.kind == "central":
             return short
         return f"{short} k=({self.k_short},{self.k_long})"
@@ -391,7 +393,16 @@ def root_label(rs: RootSystem, root_idx: int) -> str:
 
 
 def coord_box(rs: RootSystem, bound: int) -> list[Weight]:
-    """All weights with every coordinate in [-bound, bound], sorted."""
+    """All weights with every coordinate in [-bound, bound], sorted.
+
+    The size is checked against the point cap before the box is built.
+    """
+    if bound < 0:
+        raise DomainError(f"box bound must be nonnegative, got {bound}")
+    cap = point_cap()
+    size = (2 * bound + 1) ** rs.rank
+    if size > cap:
+        raise ResourceCapError(f"box of {size} points exceeds the cap of {cap} points")
     return [tuple(v) for v in product(range(-bound, bound + 1), repeat=rs.rank)]
 
 

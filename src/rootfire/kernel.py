@@ -1,46 +1,70 @@
-"""Kernel selection: compiled extension when present, pure Python otherwise.
+"""The stabilization hot loops, in exact integer Python.
 
-Set ``ROOTFIRE_PURE=1`` to force the pure backend (used by the parity
-tests and the benchmark).  The compiled kernel works on int64, so the
-wrapper falls back to pure Python whenever inputs could leave the safe
-range; results are identical either way.
+Coordinates are Python ints, so every pairing and firing step is exact
+at any magnitude.  The seeded-random firing order draws from splitmix64,
+so a given seed fires the same roots on every platform.
 """
 
 from __future__ import annotations
 
-import os
+from .errors import StepBudgetError
 
-from . import _purekernel
+BACKEND = "pure"
 
-if os.environ.get("ROOTFIRE_PURE"):
-    _impl = _purekernel
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _purekernel
-
-BACKEND: str = _impl.BACKEND
-
-# int64 stays exact as long as every intermediate |pairing| fits; the
-# coroot rows are tiny, so a generous coordinate bound is enough.
-_SAFE_COORD = 1 << 40
+_MASK = (1 << 64) - 1
 
 
 def splitmix64_next(state: int) -> tuple[int, int]:
-    return _impl.splitmix64_next(state)
+    """One step of the splitmix64 generator: (new_state, output)."""
+    state = (state + 0x9E3779B97F4A7C15) & _MASK
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return state, z ^ (z >> 31)
 
 
 def pairings(coroots, coords):
-    return _impl.pairings(coroots, coords)
+    """All coroot pairings of one weight, in positive-root order."""
+    return [sum(r * c for r, c in zip(row, coords)) for row in coroots]
 
 
 def stabilize(coords, root_weights, coroots, lo, hi, budget, seed=None):
-    impl = _impl
-    if impl is not _purekernel and (
-        any(abs(x) >= _SAFE_COORD for x in coords)
-        or any(abs(b) >= _SAFE_COORD for b in lo)
-        or any(abs(b) >= _SAFE_COORD for b in hi)
-    ):
-        impl = _purekernel
-    return impl.stabilize(coords, root_weights, coroots, lo, hi, budget, seed)
+    """Fire until stable; returns (sink coordinates, number of steps).
+
+    ``lo``/``hi`` are the per-root closed fireability bounds on the
+    coroot pairing.  ``seed=None`` selects the first fireable root in
+    positive-root order; otherwise roots are drawn with splitmix64.
+    """
+    c = list(coords)
+    m = len(coroots)
+    steps = 0
+    state = 0 if seed is None else seed & _MASK
+    while True:
+        if seed is None:
+            chosen = -1
+            for j in range(m):
+                p = sum(r * x for r, x in zip(coroots[j], c))
+                if lo[j] <= p <= hi[j]:
+                    chosen = j
+                    break
+        else:
+            fireable = [
+                j
+                for j in range(m)
+                if lo[j] <= sum(r * x for r, x in zip(coroots[j], c)) <= hi[j]
+            ]
+            if not fireable:
+                chosen = -1
+            else:
+                state, z = splitmix64_next(state)
+                chosen = fireable[z % len(fireable)]
+        if chosen < 0:
+            return tuple(c), steps
+        row = root_weights[chosen]
+        for i in range(len(c)):
+            c[i] += row[i]
+        steps += 1
+        if steps > budget:
+            raise StepBudgetError(
+                f"stabilization exceeded its step budget of {budget}"
+            )

@@ -29,18 +29,25 @@ DEFAULT_MAX_POINTS = 10**6
 
 
 def point_cap(explicit: int | None = None) -> int:
-    """Enumeration cap: explicit argument, else env override, else default."""
+    """Enumeration cap: explicit argument, else env override, else default.
+
+    A cap below 1 is rejected, wherever it comes from.
+    """
     if explicit is not None:
-        return explicit
-    env = os.environ.get("ROOTFIRE_MAX_POINTS")
-    if not env:
-        return DEFAULT_MAX_POINTS
-    try:
-        return int(env)
-    except ValueError:
-        raise PreconditionError(
-            f"ROOTFIRE_MAX_POINTS must be an integer, got {env!r}"
-        ) from None
+        cap = explicit
+    else:
+        env = os.environ.get("ROOTFIRE_MAX_POINTS")
+        if not env:
+            return DEFAULT_MAX_POINTS
+        try:
+            cap = int(env)
+        except ValueError:
+            raise PreconditionError(
+                f"ROOTFIRE_MAX_POINTS must be an integer, got {env!r}"
+            ) from None
+    if cap < 1:
+        raise PreconditionError(f"the point cap must be at least 1, got {cap}")
+    return cap
 
 
 @dataclass(frozen=True)

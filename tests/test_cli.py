@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from rootfire import firing as fi
 from rootfire.cli import main
 
 
@@ -45,6 +46,7 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, "graph", "A3", "sym", "1", "--format", "svg")[0] == 1
     assert run(capsys, "verify", "iterate", "B2")[0] == 1
     assert run(capsys, "verify", "tables", "A3")[0] == 1
+    assert run(capsys, "graph", "A2", "sym", "1", "--box", "-1")[0] == 1
 
 
 def test_stabilize_output(capsys):
@@ -92,11 +94,25 @@ def test_graph_formats_and_determinism(capsys, tmp_path):
     assert code == 0 and target.read_text().startswith("<svg")
 
 
-def test_graph_cap_exit_3(capsys):
+def test_graph_cap_exit_3(capsys, monkeypatch):
+    # an over-cap box is refused from its size alone, before any point is made
+    def no_points(*args, **kwargs):
+        raise AssertionError("the box was built")
+
+    monkeypatch.setattr(fi, "product", no_points)
     code, _, err = run(
         capsys, "graph", "A2", "sym", "1", "--box", "9", "--max-points", "10"
     )
     assert code == 3 and "cap" in err
+    code, _, err = run(
+        capsys, "graph", "A3", "sym", "1", "--box", "30", "--max-points", "1000"
+    )
+    assert code == 3 and "box of 226981 points" in err
+    # the cap bounds the boxes the verify suites build, too
+    code, _, err = run(
+        capsys, "verify", "decompose", "A2", "--box", "9", "--max-points", "10"
+    )
+    assert code == 3 and "box of 361 points" in err
 
 
 def test_fiber_json(capsys):
@@ -127,6 +143,16 @@ def test_bad_env_cap_is_rejected(capsys, monkeypatch):
     monkeypatch.setenv("ROOTFIRE_MAX_POINTS", "many")
     code, _, err = run(capsys, "fiber", "A2", "sym", "1", "0,0")
     assert code == 1 and "ROOTFIRE_MAX_POINTS" in err
+    for cap in ("0", "-5"):
+        monkeypatch.setenv("ROOTFIRE_MAX_POINTS", cap)
+        code, _, err = run(capsys, "fiber", "A2", "sym", "1", "0,0")
+        assert code == 1 and "at least 1" in err
+    monkeypatch.delenv("ROOTFIRE_MAX_POINTS")
+    for cap in ("0", "-5"):
+        code, _, err = run(capsys, "graph", "A2", "sym", "1", "--max-points", cap)
+        assert code == 1 and "at least 1" in err
+        # rejected even by a command that enumerates nothing
+        assert run(capsys, "info", "A2", "--max-points", cap)[0] == 1
 
 
 def test_too_small_degree_exits_2(capsys):

@@ -17,6 +17,7 @@ from rootfire.ehrhart import (
     perm_ehrhart,
     reference_poly,
 )
+from rootfire.errors import DomainError
 from rootfire.firing import FiringParams, coord_box, fiber
 from rootfire.rootsys import from_spec
 
@@ -54,6 +55,15 @@ def test_fit_examples():
     g2 = from_spec("G2")
     rep = fit_ehrhart_like(g2, (0, 0), "sym")
     assert rep.polynomial == reference_poly(REFERENCE_SYM_POLYS["G2"], 2, (0, 0))
+
+
+def test_fit_kind_aliases():
+    a2 = from_spec("A2")
+    assert fit_ehrhart_like(a2, (1, 1), "symmetric") == fit_ehrhart_like(a2, (1, 1), "sym")
+    assert fit_ehrhart_like(a2, (1, -1), "truncated") == fit_ehrhart_like(a2, (1, -1), "tr")
+    for kind in ("central", "sideways"):
+        with pytest.raises(DomainError):
+            fit_ehrhart_like(a2, (0, 0), kind)
 
 
 @pytest.mark.parametrize("spec", ["A2", "B2", "G2"])

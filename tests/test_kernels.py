@@ -1,54 +1,22 @@
-"""Pure and compiled kernels must agree bit for bit."""
+"""The stabilization kernel: exact at any magnitude, reproducible PRNG."""
 
-import random
-
-import pytest
-
-from rootfire import _purekernel
-from rootfire.firing import FiringParams, _bounds, step_budget
+from rootfire import kernel
+from rootfire.firing import FiringParams, _bounds
 from rootfire.rootsys import from_spec
 
-speedups = pytest.importorskip("rootfire._speedups")
+
+def test_splitmix64_matches_published_stream():
+    # the reference splitmix64 outputs for seed 0; the seeded-random
+    # firing order of `verify confluence` draws from this stream
+    state, outputs = 0, []
+    for _ in range(3):
+        state, z = kernel.splitmix64_next(state)
+        outputs.append(z)
+    assert outputs == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
 
-def test_splitmix_parity():
-    s_pure = s_comp = 0xDEADBEEF
-    for _ in range(2000):
-        s_pure, out_pure = _purekernel.splitmix64_next(s_pure)
-        s_comp, out_comp = speedups.splitmix64_next(s_comp)
-        assert (s_pure, out_pure) == (s_comp, out_comp)
-
-
-@pytest.mark.parametrize("spec", ["A2", "B2", "G2", "A3", "B3"])
-@pytest.mark.parametrize("kind", ["symmetric", "truncated"])
-def test_stabilize_parity(spec, kind):
-    rs = from_spec(spec)
-    rng = random.Random(hash((spec, kind)) & 0xFFFF)
-    params = FiringParams.make(kind, 2, 1 if not rs.simply_laced else 2)
-    lo, hi = _bounds(rs, params)
-    for _ in range(150):
-        w = tuple(rng.randint(-7, 7) for _ in range(rs.rank))
-        budget = step_budget(rs, w, params)
-        args = (w, rs.pos_root_weights, rs.pos_coroots, lo, hi, budget)
-        assert _purekernel.stabilize(*args) == speedups.stabilize(*args)
-        seed = rng.randint(0, 2**63)
-        assert _purekernel.stabilize(*args, seed) == speedups.stabilize(*args, seed)
-
-
-def test_pairings_parity():
-    rs = from_spec("G2")
-    for w in [(-3, 2), (0, 0), (5, -4)]:
-        assert _purekernel.pairings(rs.pos_coroots, w) == speedups.pairings(
-            rs.pos_coroots, w
-        )
-
-
-def test_wrapper_falls_back_on_huge_coordinates():
-    # arbitrary-precision safety: the wrapper must not hand int64-unsafe
-    # inputs to the compiled kernel (far-out weights are immediate sinks,
-    # so the answer is easy; the point is that nothing overflows)
-    from rootfire import kernel
-
+def test_exact_at_huge_coordinates():
+    # the kernel works on Python ints, so nothing overflows at 2^70
     rs = from_spec("A1")
     params = FiringParams.make("symmetric", 0)
     lo, hi = _bounds(rs, params)
@@ -57,8 +25,16 @@ def test_wrapper_falls_back_on_huge_coordinates():
         big, rs.pos_root_weights, rs.pos_coroots, lo, hi, 10
     )
     assert sink == big and steps == 0
-    near = (-(2**70) + 2**70 - 1,)  # = (-1,): fires once
     sink, steps = kernel.stabilize(
-        near, rs.pos_root_weights, rs.pos_coroots, lo, hi, 10
+        (-1,), rs.pos_root_weights, rs.pos_coroots, lo, hi, 10
     )
     assert sink == (1,) and steps == 1
+    # A2: both coordinates far out, yet <v, theta^v> = -1, so theta fires
+    # once in either firing order
+    a2 = from_spec("A2")
+    lo, hi = _bounds(a2, params)
+    v = (2**70, -(2**70) - 1)
+    for seed in (None, 7):
+        assert kernel.stabilize(
+            v, a2.pos_root_weights, a2.pos_coroots, lo, hi, 10, seed
+        ) == ((2**70 + 1, -(2**70)), 1)

@@ -61,6 +61,9 @@ def test_enumerate_perm_cap():
     rs = from_spec("A2")
     with pytest.raises(errors.ResourceCapError):
         enumerate_perm(rs, (9, 9), max_points=10)
+    for cap in (0, -5):
+        with pytest.raises(errors.PreconditionError):
+            enumerate_perm(rs, (1, 1), max_points=cap)
 
 
 def test_point_set_export():
