@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 from itertools import product
@@ -56,34 +55,14 @@ def _parse_weight(rs, text: str):
     return coords
 
 
-def _parse_k(text: str) -> tuple[int, int]:
-    try:
-        parts = [int(x) for x in text.split(",")]
-    except ValueError:
-        raise UsageError(f"cannot parse firing parameter {text!r}") from None
-    if len(parts) == 1:
-        if parts[0] < 0:
-            raise UsageError("firing parameter must be nonnegative")
-        return parts[0], parts[0]
-    if len(parts) == 2:
-        if min(parts) < 0:
-            raise UsageError("firing parameters must be nonnegative")
-        return parts[0], parts[1]
-    raise UsageError(f"firing parameter {text!r} must be k or k_short,k_long")
-
-
 def _params(kind: str, ktext: str) -> fi.FiringParams:
-    if kind not in ("sym", "tr", "central"):
-        raise UsageError(f"unknown kind {kind!r} (expected sym, tr, or central)")
-    ks, kl = _parse_k(ktext)
-    return fi.FiringParams.make(kind, ks, kl)
-
-
-def _system(spec: str) -> rsys.RootSystem:
     try:
-        return rsys.from_spec(spec)
-    except ClassificationError as exc:
-        raise UsageError(str(exc)) from None
+        ks = [int(x) for x in ktext.split(",")]
+    except ValueError:
+        raise UsageError(f"cannot parse firing parameter {ktext!r}") from None
+    if len(ks) not in (1, 2):
+        raise UsageError(f"firing parameter {ktext!r} must be k or k_short,k_long")
+    return fi.FiringParams.make(kind, *ks)
 
 
 def _emit(text: str, out: str | None):
@@ -102,7 +81,7 @@ def _wfmt(w) -> str:
 
 
 def cmd_info(args) -> int:
-    rs = _system(args.system)
+    rs = rsys.from_spec(args.system)
     theta = fi.root_label(rs, rs.highest_root)
     theta_s = fi.root_label(rs, rs.highest_short_root)
     if args.format == "json":
@@ -145,18 +124,11 @@ def cmd_info(args) -> int:
 
 
 def cmd_stabilize(args) -> int:
-    rs = _system(args.system)
+    rs = rsys.from_spec(args.system)
     params = _params(args.kind, args.k)
     weight = _parse_weight(rs, args.weight)
-    if params.kind == "central":
-        raise UsageError("central firing does not stabilize; use `graph` to explore")
-    good = params.is_good(rs)
-    if not good and not args.force:
-        raise UsageError(
-            f"{params.label()} is not good on {rs.spec}; rerun with --force"
-        )
-    policy = "random" if args.seed is not None else "first"
-    sink, steps = fi.stabilize_trace(rs, weight, params, policy, args.seed)
+    good = fi.require_good(rs, params, args.force)
+    sink, steps = fi.stabilize_trace(rs, weight, params, args.seed)
     label = fi.eta_inverse(rs, sink, params)
     lines = []
     if not good:
@@ -242,7 +214,7 @@ def _svg_render(rs, graph: fi.FiringGraph) -> str:
 
 
 def cmd_graph(args) -> int:
-    rs = _system(args.system)
+    rs = rsys.from_spec(args.system)
     params = _params(args.kind, args.k)
     region = fi.coord_box(rs, args.box)
     graph = fi.build_graph(rs, region, params)
@@ -250,10 +222,8 @@ def cmd_graph(args) -> int:
         _emit(graph.to_json() + "\n", args.out)
     elif args.format == "dot":
         _emit(graph.to_dot(rs), args.out)
-    elif args.format == "svg":
-        _emit(_svg_render(rs, graph), args.out)
     else:
-        raise UsageError(f"unknown graph format {args.format!r}")
+        _emit(_svg_render(rs, graph), args.out)
     return 0
 
 
@@ -261,15 +231,9 @@ def cmd_graph(args) -> int:
 
 
 def cmd_fiber(args) -> int:
-    rs = _system(args.system)
+    rs = rsys.from_spec(args.system)
     params = _params(args.kind, args.k)
     label = _parse_weight(rs, args.label)
-    if params.kind == "central":
-        raise UsageError("central firing has no stabilization fibers")
-    if not params.is_good(rs) and not args.force:
-        raise UsageError(
-            f"{params.label()} is not good on {rs.spec}; rerun with --force"
-        )
     pts = fi.fiber(rs, label, params, force=args.force)
     if args.format == "json":
         obj = {
@@ -291,16 +255,14 @@ def cmd_fiber(args) -> int:
 
 
 def cmd_ehrhart(args) -> int:
-    rs = _system(args.system)
-    if args.kind not in ("sym", "tr"):
-        raise UsageError("ehrhart fitting needs kind sym or tr")
+    rs = rsys.from_spec(args.system)
     label = _parse_weight(rs, args.label)
     rep = eh.fit_ehrhart_like(rs, label, args.kind, args.degree)
     if args.format == "json":
         _emit(json.dumps(rep.to_json_obj(), indent=2, sort_keys=True) + "\n", args.out)
     else:
         lines = [
-            f"{rs.spec} {args.kind} label {_wfmt(label)}: {rep.polynomial}",
+            f"{rs.spec} {rep.kind} label {_wfmt(label)}: {rep.polynomial}",
             f"integer coefficients: {rep.integer}; nonnegative: {rep.nonnegative}",
         ]
         if rep.notes:
@@ -310,18 +272,6 @@ def cmd_ehrhart(args) -> int:
 
 
 # -- verify suites -----------------------------------------------------------------
-
-SUITES = (
-    "confluence",
-    "sinks",
-    "traverse",
-    "nonescape",
-    "symmetry",
-    "decompose",
-    "iterate",
-    "tables",
-    "conjectures",
-)
 
 
 def _suite_confluence(rs, args, say):
@@ -458,8 +408,6 @@ def _suite_decompose(rs, args, say):
 
 
 def _suite_iterate(rs, args, say):
-    if not rs.simply_laced:
-        raise UsageError("iterate suite applies to simply laced systems only")
     ok = True
     labels = [rs.zero()] + [rs.fundamental_weight(i) for i in range(1, rs.rank + 1)]
     labels.append(rs.rho())
@@ -521,8 +469,23 @@ def _suite_conjectures(rs, args, say):
     return True  # findings are data, never a failure
 
 
+SUITES = {
+    "confluence": _suite_confluence,
+    "sinks": _suite_sinks,
+    "traverse": _suite_traverse,
+    "nonescape": _suite_nonescape,
+    "symmetry": _suite_symmetry,
+    "decompose": _suite_decompose,
+    "iterate": _suite_iterate,
+    "tables": _suite_tables,
+    "conjectures": _suite_conjectures,
+}
+
+
 def cmd_verify(args) -> int:
-    rs = _system(args.system)
+    if args.k_max < 0 or args.cmax < 0:
+        raise UsageError("--k and --cmax must be nonnegative")
+    rs = rsys.from_spec(args.system)
     if rs.rank > 4 and not args.force:
         raise UsageError(
             f"verification suites enumerate exhaustively and default to rank <= 4; "
@@ -533,18 +496,7 @@ def cmd_verify(args) -> int:
     def say(msg):
         lines.append(msg)
 
-    runner = {
-        "confluence": _suite_confluence,
-        "sinks": _suite_sinks,
-        "traverse": _suite_traverse,
-        "nonescape": _suite_nonescape,
-        "symmetry": _suite_symmetry,
-        "decompose": _suite_decompose,
-        "iterate": _suite_iterate,
-        "tables": _suite_tables,
-        "conjectures": _suite_conjectures,
-    }[args.suite]
-    passed = runner(rs, args, say)
+    passed = SUITES[args.suite](rs, args, say)
     lines.append(f"suite {args.suite} on {rs.spec}: {'PASS' if passed else 'FAIL'}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0 if passed else VERIFY_EXIT
@@ -603,8 +555,9 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("verify", help="run a named verification suite")
     sp.add_argument("suite", choices=SUITES)
     sp.add_argument("system")
-    sp.add_argument("--k", dest="k_max", type=int, default=2, help="largest k checked")
-    sp.add_argument("--kmax", dest="k_max_alias", type=int, help=argparse.SUPPRESS)
+    sp.add_argument(
+        "--k", "--kmax", dest="k_max", type=int, default=2, help="largest k checked"
+    )
     sp.add_argument("--trials", type=int, default=25)
     sp.add_argument("--seed", type=int, default=2024)
     sp.add_argument("--box", type=int, default=4)
@@ -615,15 +568,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    saved_cap = os.environ.get("ROOTFIRE_MAX_POINTS")
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "max_points", None) is not None:
-            os.environ["ROOTFIRE_MAX_POINTS"] = str(args.max_points)
-        pt.point_cap()  # a bad cap is an error even where no command reads it
-        if getattr(args, "k_max_alias", None) is not None:
-            args.k_max = args.k_max_alias
+        args = build_parser().parse_args(argv)
         handler = {
             "info": cmd_info,
             "stabilize": cmd_stabilize,
@@ -632,11 +578,16 @@ def main(argv=None) -> int:
             "ehrhart": cmd_ehrhart,
             "verify": cmd_verify,
         }[args.command]
-        return handler(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except (ClassificationError, DomainError, PreconditionError, NonGoodParamsError) as exc:
+        # the scope checks the cap on entry, so a bad cap fails every command
+        with pt.scoped_cap(args.max_points):
+            return handler(args)
+    except (
+        UsageError,
+        ClassificationError,
+        DomainError,
+        PreconditionError,
+        NonGoodParamsError,
+    ) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except FitInconsistentError as exc:
@@ -645,11 +596,6 @@ def main(argv=None) -> int:
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return CAP_EXIT
-    finally:
-        if saved_cap is None:
-            os.environ.pop("ROOTFIRE_MAX_POINTS", None)
-        else:
-            os.environ["ROOTFIRE_MAX_POINTS"] = saved_cap
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from .firing import (
     _KIND_SHORT,
     FiringParams,
     fiber,
+    require_good,
     rho_of_k,
     stabilization_label,
 )
@@ -280,6 +281,8 @@ def _fit_once(rs, label, flavor, counter, d) -> FitReport:
 
 def _fit_with_retry(rs, label, flavor, counter, degree_bound) -> FitReport:
     d = rs.rank if degree_bound is None else degree_bound
+    if d < 0:
+        raise DomainError(f"the degree bound must be nonnegative, got {d}")
     try:
         return _fit_once(rs, label, flavor, counter, d)
     except FitInconsistentError:
@@ -351,8 +354,7 @@ def decomposition_check(
     truncated at 1 (asserted only for single-length systems, reported
     otherwise).
     """
-    if not params.is_good(rs):
-        raise PreconditionError("decomposition identities need good parameters")
+    require_good(rs, params)
     sym_k = FiringParams.make("symmetric", params.k_short, params.k_long)
     sym_0 = FiringParams.make("symmetric", 0, 0)
     tr_k = FiringParams.make("truncated", params.k_short, params.k_long)

@@ -96,6 +96,22 @@ class FiringParams:
         return f"{short} k=({self.k_short},{self.k_long})"
 
 
+def require_good(rs: RootSystem, params: FiringParams, force: bool = False) -> bool:
+    """Gate for operations whose meaning rests on confluence; returns goodness.
+
+    Central firing never passes.  Parameters that are not good pass only
+    with ``force``, and the caller must then not rely on confluence.
+    """
+    if params.kind == "central":
+        raise PreconditionError("central firing does not stabilize; explore its graph")
+    good = params.is_good(rs)
+    if not good and not force:
+        raise NonGoodParamsError(
+            f"{params.label()} is not good on {rs.spec}; force it to proceed anyway"
+        )
+    return good
+
+
 def rho_of_k(rs: RootSystem, params: FiringParams) -> Weight:
     """The dominant weight whose node coordinates are the per-node k values."""
     d_long = max(rs.symmetrizer)
@@ -192,16 +208,15 @@ def stabilize_trace(
     rs: RootSystem,
     weight: Weight,
     params: FiringParams,
-    policy: str = "first",
     seed: int | None = None,
 ) -> tuple[Weight, int]:
-    """Fire until stable; returns (sink, number of firings)."""
+    """Fire until stable; returns (sink, number of firings).
+
+    ``seed=None`` fires the first fireable root in positive-root order;
+    a seed fires roots in a seeded-random order.
+    """
     if params.kind == "central":
         raise PreconditionError("central firing has no stabilization; explore instead")
-    if policy not in ("first", "random"):
-        raise PreconditionError(f"unknown firing policy {policy!r}")
-    if policy == "random" and seed is None:
-        raise PreconditionError("random policy requires a seed")
     lo, hi = _bounds(rs, params)
     return kernel.stabilize(
         tuple(weight),
@@ -210,7 +225,7 @@ def stabilize_trace(
         lo,
         hi,
         step_budget(rs, weight, params),
-        seed if policy == "random" else None,
+        seed,
     )
 
 
@@ -218,10 +233,9 @@ def stabilize(
     rs: RootSystem,
     weight: Weight,
     params: FiringParams,
-    policy: str = "first",
     seed: int | None = None,
 ) -> Weight:
-    return stabilize_trace(rs, weight, params, policy, seed)[0]
+    return stabilize_trace(rs, weight, params, seed)[0]
 
 
 def stabilization_label(
@@ -231,10 +245,7 @@ def stabilization_label(
     force: bool = False,
 ) -> Weight:
     """Label of the sink this weight stabilizes to (eta preimage of the sink)."""
-    if not params.is_good(rs) and not force:
-        raise NonGoodParamsError(
-            f"{params.label()} is not good on {rs.spec}; pass force=True to proceed"
-        )
+    require_good(rs, params, force)
     sink = stabilize(rs, weight, params)
     lab = eta_inverse(rs, sink, params)
     if lab is None:
@@ -254,9 +265,9 @@ def check_confluence_random(
     """Whether ``trials`` independent random firing orders agree."""
     if trials < 2:
         raise PreconditionError("need at least two trials")
-    first = stabilize(rs, weight, params, policy="random", seed=seed)
+    first = stabilize(rs, weight, params, seed=seed)
     return all(
-        stabilize(rs, weight, params, policy="random", seed=seed + t) == first
+        stabilize(rs, weight, params, seed=seed + t) == first
         for t in range(1, trials)
     )
 
@@ -278,13 +289,7 @@ def component(
     component's sink label; with ``force`` (non-good parameters) the
     assertion is skipped and only the point cap limits the search.
     """
-    if params.kind == "central":
-        raise PreconditionError("central firing components are not bounded; explore")
-    good = params.is_good(rs)
-    if not good and not force:
-        raise NonGoodParamsError(
-            f"{params.label()} is not good on {rs.spec}; pass force=True to proceed"
-        )
+    good = require_good(rs, params, force)
     center = None
     if good:
         lab = stabilization_label(rs, weight, params)
@@ -326,17 +331,12 @@ def fiber(
     sink; with ``check`` every member is re-stabilized as a confluence
     cross-check.
     """
-    if params.kind == "central":
-        raise PreconditionError("central firing has no fibers")
-    if not params.is_good(rs) and not force:
-        raise NonGoodParamsError(
-            f"{params.label()} is not good on {rs.spec}; pass force=True to proceed"
-        )
+    good = require_good(rs, params, force)
     if params.kind == "symmetric" and not sym_sink_labels_valid(rs, label):
         return ()
     sink = eta(rs, label, params)
     comp = component(rs, sink, params, force=force, max_points=max_points)
-    if check and params.is_good(rs):
+    if check and good:
         for v in comp:
             if stabilize(rs, v, params) != sink:
                 raise InvariantViolationError(
@@ -487,18 +487,18 @@ def ball_region(rs: RootSystem, radius_sq: Fraction, center=None) -> list[Weight
     """Weights within a squared distance of a (possibly rational) center.
 
     Metric balls are exactly invariant under the relevant symmetries,
-    unlike coordinate boxes.
+    unlike coordinate boxes.  The enclosing box is checked against the
+    point cap before it is built.
     """
     center = tuple(Fraction(0) for _ in range(rs.rank)) if center is None else center
     bound = 1
     while Fraction(bound * bound) * min(rs.symmetrizer) < 4 * radius_sq + 4:
         bound += 1
-    out = []
-    for v in product(range(-bound, bound + 1), repeat=rs.rank):
-        diff = tuple(Fraction(a) - b for a, b in zip(v, center))
-        if rs.quad_norm(diff) <= radius_sq:
-            out.append(tuple(v))
-    return sorted(out)
+    return [
+        v
+        for v in coord_box(rs, bound)
+        if rs.quad_norm(tuple(Fraction(a) - b for a, b in zip(v, center))) <= radius_sq
+    ]
 
 
 def quotient_affine_image(rs: RootSystem, word: WeylWord, weight: Weight) -> Weight:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -27,12 +29,21 @@ from .rootsys import (
 
 DEFAULT_MAX_POINTS = 10**6
 
+_SCOPED_CAP: ContextVar[int | None] = ContextVar("rootfire_point_cap", default=None)
+
 
 def point_cap(explicit: int | None = None) -> int:
-    """Enumeration cap: explicit argument, else env override, else default.
+    """Enumeration cap, taken from the first of these that is set:
+
+    1. the explicit argument;
+    2. the cap of the innermost enclosing ``scoped_cap`` in this context;
+    3. the ``ROOTFIRE_MAX_POINTS`` environment variable;
+    4. ``DEFAULT_MAX_POINTS``.
 
     A cap below 1 is rejected, wherever it comes from.
     """
+    if explicit is None:
+        explicit = _SCOPED_CAP.get()
     if explicit is not None:
         cap = explicit
     else:
@@ -48,6 +59,23 @@ def point_cap(explicit: int | None = None) -> int:
     if cap < 1:
         raise PreconditionError(f"the point cap must be at least 1, got {cap}")
     return cap
+
+
+@contextmanager
+def scoped_cap(cap: int | None):
+    """Hold a point cap for the code run inside this block.
+
+    The cap lives in a context variable, so it holds in the current
+    context only: a thread started inside the block does not see it, and
+    nothing is written to the environment.  ``None`` keeps the cap that
+    applies already.  The cap is resolved and checked on entry, so a bad
+    cap fails before the block runs.
+    """
+    token = _SCOPED_CAP.set(point_cap(cap))
+    try:
+        yield
+    finally:
+        _SCOPED_CAP.reset(token)
 
 
 @dataclass(frozen=True)

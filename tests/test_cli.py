@@ -1,11 +1,17 @@
 """CLI surface: parsing, output determinism, exit codes."""
 
 import json
+import os
+import threading
 
 import pytest
 
+from rootfire import errors
 from rootfire import firing as fi
+from rootfire import polytope as pt
 from rootfire.cli import main
+from rootfire.ehrhart import decomposition_check
+from rootfire.rootsys import from_spec
 
 
 def run(capsys, *argv):
@@ -47,6 +53,13 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, "verify", "iterate", "B2")[0] == 1
     assert run(capsys, "verify", "tables", "A3")[0] == 1
     assert run(capsys, "graph", "A2", "sym", "1", "--box", "-1")[0] == 1
+    # a verify run that would check nothing is refused, not passed
+    for suite in ("confluence", "sinks", "iterate", "decompose"):
+        code, out, _ = run(capsys, "verify", suite, "A2", "--k", "-1")
+        assert code == 1 and "PASS" not in out
+    code, out, _ = run(capsys, "verify", "traverse", "A2", "--cmax", "-1")
+    assert code == 1 and "PASS" not in out
+    assert run(capsys, "ehrhart", "A2", "sym", "0,0", "--degree", "-1")[0] == 1
 
 
 def test_stabilize_output(capsys):
@@ -72,6 +85,13 @@ def test_stabilize_non_good_needs_force(capsys):
     assert code == 1 and "force" in err
     code, out, _ = run(capsys, "stabilize", "B2", "sym", "0,1", "0,0", "--force")
     assert code == 0 and "unverified confluence" in out
+    code, _, err = run(capsys, "fiber", "B2", "sym", "0,1", "0,0")
+    assert code == 1 and "force" in err
+    assert run(capsys, "fiber", "B2", "sym", "0,1", "0,0", "--force")[0] == 0
+    assert run(capsys, "stabilize", "A2", "central", "0", "0,0")[0] == 1
+    b2 = from_spec("B2")
+    with pytest.raises(errors.NonGoodParamsError):
+        decomposition_check(b2, [(0, 0)], fi.FiringParams.make("sym", 0, 1))
 
 
 def test_graph_formats_and_determinism(capsys, tmp_path):
@@ -113,6 +133,34 @@ def test_graph_cap_exit_3(capsys, monkeypatch):
         capsys, "verify", "decompose", "A2", "--box", "9", "--max-points", "10"
     )
     assert code == 3 and "box of 361 points" in err
+    # and the box around the metric balls of the symmetry suite
+    code, _, err = run(
+        capsys, "verify", "symmetry", "A2", "--k", "1", "--max-points", "10"
+    )
+    assert code == 3 and "cap" in err
+
+
+def test_cap_holds_only_in_the_command_thread(capsys, monkeypatch):
+    monkeypatch.delenv("ROOTFIRE_MAX_POINTS", raising=False)
+    seen = {}
+    real_build_graph = fi.build_graph
+
+    def recording_build_graph(*args, **kwargs):
+        seen["caller"] = pt.point_cap()
+        other = threading.Thread(target=lambda: seen.update(other=pt.point_cap()))
+        other.start()
+        other.join(timeout=10)
+        assert not other.is_alive()
+        return real_build_graph(*args, **kwargs)
+
+    monkeypatch.setattr(fi, "build_graph", recording_build_graph)
+    code, _, _ = run(
+        capsys, "graph", "A2", "sym", "1", "--box", "1", "--max-points", "50"
+    )
+    assert code == 0
+    assert seen == {"caller": 50, "other": pt.DEFAULT_MAX_POINTS}
+    assert "ROOTFIRE_MAX_POINTS" not in os.environ
+    assert pt.point_cap() == pt.DEFAULT_MAX_POINTS
 
 
 def test_fiber_json(capsys):

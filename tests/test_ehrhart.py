@@ -55,6 +55,11 @@ def test_fit_examples():
     g2 = from_spec("G2")
     rep = fit_ehrhart_like(g2, (0, 0), "sym")
     assert rep.polynomial == reference_poly(REFERENCE_SYM_POLYS["G2"], 2, (0, 0))
+    # a negative degree bound is refused before any fiber is counted
+    with pytest.raises(DomainError):
+        fit_ehrhart_like(a2, (1, 1), "sym", degree_bound=-1)
+    with pytest.raises(DomainError):
+        perm_ehrhart(a2, (0, 0), degree_bound=-1)
 
 
 def test_fit_kind_aliases():
