@@ -147,8 +147,6 @@ _SVG_COLORS = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
 def _svg_render(rs, graph: fi.FiringGraph) -> str:
-    if rs.rank != 2:
-        raise UsageError("svg rendering requires a rank-2 system")
     b = [
         [rs.symmetrizer[j] * rs.cartan[i][j] for j in range(2)] for i in range(2)
     ]
@@ -215,6 +213,8 @@ def _svg_render(rs, graph: fi.FiringGraph) -> str:
 
 def cmd_graph(args) -> int:
     rs = rsys.from_spec(args.system)
+    if args.format == "svg" and rs.rank != 2:
+        raise UsageError("svg rendering requires a rank-2 system")
     params = _params(args.kind, args.k)
     region = fi.coord_box(rs, args.box)
     graph = fi.build_graph(rs, region, params)
@@ -455,7 +455,7 @@ def _suite_conjectures(rs, args, say):
         say(
             f"note - {rs.spec} tr {_wfmt(row.label)}: {row.polynomial} "
             f"integer={row.integer} nonnegative={row.nonnegative} "
-            f"constant={row.constant_term}"
+            f"constant={row.polynomial.constant_term()}"
         )
     sym_checks = eh.tr_symmetry_scan(
         rs, eh.full_dim_labels(rs), fi.FiringParams.make("tr", 1, 1)
@@ -469,22 +469,39 @@ def _suite_conjectures(rs, args, say):
     return True  # findings are data, never a failure
 
 
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
+# every option a suite may read; each suite's parser offers only its own
+_SUITE_OPTIONS = {
+    "k": (
+        ("--k", "--kmax"),
+        dict(dest="k_max", type=_nonnegative, default=2, help="largest k checked"),
+    ),
+    "trials": (("--trials",), dict(type=int, default=25)),
+    "seed": (("--seed",), dict(type=int, default=2024)),
+    "box": (("--box",), dict(type=int, default=4)),
+    "cmax": (("--cmax",), dict(type=_nonnegative, default=3)),
+}
+
 SUITES = {
-    "confluence": _suite_confluence,
-    "sinks": _suite_sinks,
-    "traverse": _suite_traverse,
-    "nonescape": _suite_nonescape,
-    "symmetry": _suite_symmetry,
-    "decompose": _suite_decompose,
-    "iterate": _suite_iterate,
-    "tables": _suite_tables,
-    "conjectures": _suite_conjectures,
+    "confluence": (_suite_confluence, ("k", "trials", "seed")),
+    "sinks": (_suite_sinks, ("k",)),
+    "traverse": (_suite_traverse, ("cmax",)),
+    "nonescape": (_suite_nonescape, ("k",)),
+    "symmetry": (_suite_symmetry, ("k",)),
+    "decompose": (_suite_decompose, ("k", "box")),
+    "iterate": (_suite_iterate, ("k",)),
+    "tables": (_suite_tables, ()),
+    "conjectures": (_suite_conjectures, ()),
 }
 
 
 def cmd_verify(args) -> int:
-    if args.k_max < 0 or args.cmax < 0:
-        raise UsageError("--k and --cmax must be nonnegative")
     rs = rsys.from_spec(args.system)
     if rs.rank > 4 and not args.force:
         raise UsageError(
@@ -496,7 +513,7 @@ def cmd_verify(args) -> int:
     def say(msg):
         lines.append(msg)
 
-    passed = SUITES[args.suite](rs, args, say)
+    passed = SUITES[args.suite][0](rs, args, say)
     lines.append(f"suite {args.suite} on {rs.spec}: {'PASS' if passed else 'FAIL'}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0 if passed else VERIFY_EXIT
@@ -553,17 +570,15 @@ def build_parser() -> _Parser:
     common(sp)
 
     sp = sub.add_parser("verify", help="run a named verification suite")
-    sp.add_argument("suite", choices=SUITES)
-    sp.add_argument("system")
-    sp.add_argument(
-        "--k", "--kmax", dest="k_max", type=int, default=2, help="largest k checked"
-    )
-    sp.add_argument("--trials", type=int, default=25)
-    sp.add_argument("--seed", type=int, default=2024)
-    sp.add_argument("--box", type=int, default=4)
-    sp.add_argument("--cmax", type=int, default=3)
-    sp.add_argument("--force", action="store_true", help="lift the rank <= 4 default")
-    common(sp)
+    suites = sp.add_subparsers(dest="suite", required=True, metavar="suite")
+    for name, (_, options) in SUITES.items():
+        ssp = suites.add_parser(name)
+        ssp.add_argument("system")
+        for option in options:
+            flags, kwargs = _SUITE_OPTIONS[option]
+            ssp.add_argument(*flags, **kwargs)
+        ssp.add_argument("--force", action="store_true", help="lift the rank <= 4 default")
+        common(ssp)
     return p
 
 

@@ -94,49 +94,40 @@ class LatticePolynomial:
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
-def _lagrange_1d(points: list[tuple[int, Fraction]]) -> list[Fraction]:
-    """Coefficients (ascending degree) of the interpolant through points."""
-    coeffs = [Fraction(0)] * len(points)
-    for j, (xj, yj) in enumerate(points):
+def _lagrange_basis(xs: list[int]) -> list[list[Fraction]]:
+    """Ascending coefficients of the Lagrange basis polynomials on nodes xs."""
+    out = []
+    for j, xj in enumerate(xs):
         basis = [Fraction(1)]
-        denom = Fraction(1)
-        for i, (xi, _) in enumerate(points):
-            if i == j:
-                continue
-            # multiply basis by (X - xi)
-            basis = [Fraction(0)] + basis
-            for t in range(len(basis) - 1):
-                basis[t] -= xi * basis[t + 1]
-            denom *= xj - xi
-        for t, b in enumerate(basis):
-            coeffs[t] += yj * b / denom
-    return coeffs
+        for xi in xs[:j] + xs[j + 1 :]:
+            # multiply by (X - xi) / (xj - xi)
+            basis = [
+                (lo - xi * hi) / (xj - xi)
+                for lo, hi in zip([Fraction(0)] + basis, basis + [Fraction(0)])
+            ]
+        out.append(basis)
+    return out
 
 
-def _basis_1d(xs: list[int], j: int) -> list[Fraction]:
-    vals = [(x, Fraction(1 if i == j else 0)) for i, x in enumerate(xs)]
-    return _lagrange_1d(vals)
+def _interpolate(axes: list[list[int]], values: list[int]) -> dict[Exponent, Fraction]:
+    """Exact tensor-grid interpolation over any number of axes.
 
-
-def _fit_tensor(xs, ys, value) -> dict[Exponent, Fraction]:
-    """Bidegree tensor interpolation on the grid xs (k_s) by ys (k_l)."""
-    bx = [_basis_1d(xs, a) for a in range(len(xs))]
-    by = [_basis_1d(ys, b) for b in range(len(ys))]
+    ``values`` lists the grid's values in ``product(*axes)`` order; the
+    interpolant has degree below ``len(axis)`` in each variable.
+    """
+    bases = [_lagrange_basis(xs) for xs in axes]
     coeffs: dict[Exponent, Fraction] = {}
-    for a, x in enumerate(xs):
-        for b, y in enumerate(ys):
-            v = Fraction(value[(x, y)])
-            if v == 0:
-                continue
-            for es, cs in enumerate(bx[a]):
-                if cs == 0:
-                    continue
-                for el, cl in enumerate(by[b]):
-                    if cl == 0:
-                        continue
-                    key = (es, el)
-                    coeffs[key] = coeffs.get(key, Fraction(0)) + v * cs * cl
-    return {k: c for k, c in coeffs.items() if c != 0}
+    for idx, v in zip(product(*(range(len(xs)) for xs in axes)), values):
+        if v == 0:
+            continue
+        for terms in product(*(enumerate(b[i]) for b, i in zip(bases, idx))):
+            c = Fraction(v)
+            for _, ci in terms:
+                c *= ci
+            if c:
+                key = tuple(e for e, _ in terms)
+                coeffs[key] = coeffs.get(key, Fraction(0)) + c
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -187,90 +178,55 @@ def _count_perm(rs: RootSystem, lam_dom: Weight, params: FiringParams) -> int:
 
 
 def _fit_once(rs, label, flavor, counter, d) -> FitReport:
-    notes: list[str] = []
-    if rs.simply_laced:
-        if flavor == "tr":
-            sample_ks = list(range(1, d + 2))
-            verify_ks = [d + 2, d + 3]
-        else:
-            sample_ks = list(range(d + 1))
-            verify_ks = [d + 1, d + 2]
-        points = []
-        samples = []
-        for k in sample_ks:
-            c = counter(k, k)
-            points.append((k, Fraction(c)))
-            samples.append({"k": k, "count": c})
-        poly = LatticePolynomial.from_dict(
-            1, {(e,): c for e, c in enumerate(_lagrange_1d(points))}
-        )
-        verified = []
-        for k in verify_ks:
-            c = counter(k, k)
-            if poly.evaluate(k) != c:
-                raise FitInconsistentError(
-                    f"{flavor} fit for {label} on {rs.spec} misses at k={k}"
-                )
-            verified.append({"k": k, "count": c})
-        if flavor == "tr":
-            c0 = counter(0, 0)
-            samples.insert(0, {"k": 0, "count": c0, "held_out": True})
-            if poly.constant_term() != c0:
-                notes.append("constant-term-differs-at-k0")
-        return FitReport(
-            system=rs.spec,
-            label=tuple(label),
-            kind=flavor,
-            variables=1,
-            degree_bound=d,
-            polynomial=poly,
-            samples=tuple(samples),
-            verified_at=tuple(verified),
-            notes=tuple(notes),
-        )
+    """Sample a grid, interpolate, and verify at held-out points.
 
-    # two root lengths: tensor grid in (k_short, k_long)
-    if flavor == "perm":
-        xs = list(range(d + 1))
-        ys = list(range(d + 1))
-        verify_pts = [(d + 1, d + 1), (d + 1, 0)]
-        mandatory: list[tuple[int, int]] = []
+    Single-length systems fit one variable k (sampled as counter(k, k));
+    two-length systems fit (k_short, k_long) with a k_long axis 0..d.
+    The k (or k_short) axis is s..s+d.  s = 1 for truncated fits, whose
+    k = 0 count is only held out, and for two-length symmetric fits,
+    where k_short >= 1 keeps the grid good.
+    """
+    two = not rs.simply_laced
+    s = 0 if flavor == "perm" or (flavor == "sym" and not two) else 1
+    axes = [list(range(s, s + d + 1))] + ([list(range(d + 1))] if two else [])
+    if two:
+        checks = [(0, 0)] if flavor == "sym" else []
+        checks += [(s + d + 1, d + 1), (s + d + 1, 0)]
     else:
-        xs = list(range(1, d + 2))  # k_short >= 1 keeps the grid good
-        ys = list(range(d + 1))
-        verify_pts = [(d + 2, d + 1), (d + 2, 0)]
-        mandatory = [(0, 0)] if flavor == "sym" else []
-    if flavor == "tr":
-        notes.append("two-length-truncated-fit-unproven")
-    value = {}
-    samples = []
-    for ks, kl in product(xs, ys):
-        c = counter(ks, kl)
-        value[(ks, kl)] = c
-        samples.append({"ks": ks, "kl": kl, "count": c})
-    poly = LatticePolynomial.from_dict(2, _fit_tensor(xs, ys, value))
+        checks = [(s + d + 1,), (s + d + 2,)]
+    keys = ("ks", "kl") if two else ("k",)
+    notes = ["two-length-truncated-fit-unproven"] if two and flavor == "tr" else []
+
+    def sample(pt) -> dict:
+        # pt[-1] is k_long, or k again for a single length
+        return {**dict(zip(keys, pt)), "count": counter(pt[0], pt[-1])}
+
+    samples = [sample(pt) for pt in product(*axes)]
+    counts = [row["count"] for row in samples]
+    poly = LatticePolynomial.from_dict(len(axes), _interpolate(axes, counts))
     if poly.total_degree() > d:
         raise FitInconsistentError(
             f"{flavor} fit for {label} on {rs.spec} has total degree above {d}"
         )
     verified = []
-    for ks, kl in mandatory + verify_pts:
-        c = counter(ks, kl)
-        if poly.evaluate(ks, kl) != c:
+    for pt in checks:
+        row = sample(pt)
+        if poly.evaluate(*pt) != row["count"]:
+            where = f"k={pt[0]}" if len(pt) == 1 else "({},{})".format(*pt)
             raise FitInconsistentError(
-                f"{flavor} fit for {label} on {rs.spec} misses at ({ks},{kl})"
+                f"{flavor} fit for {label} on {rs.spec} misses at {where}"
             )
-        verified.append({"ks": ks, "kl": kl, "count": c})
+        verified.append(row)
     if flavor == "tr":
-        c0 = counter(0, 0)
-        samples.insert(0, {"ks": 0, "kl": 0, "count": c0, "held_out": True})
-        if poly.constant_term() != c0:
+        zero = {**sample((0,) * len(axes)), "held_out": True}
+        samples.insert(0, zero)
+        if poly.constant_term() != zero["count"]:
             notes.append("constant-term-differs-at-k0")
     return FitReport(
         system=rs.spec,
         label=tuple(label),
         kind=flavor,
-        variables=2,
+        variables=len(axes),
         degree_bound=d,
         polynomial=poly,
         samples=tuple(samples),
@@ -421,16 +377,6 @@ def iterate_check(rs: RootSystem, label: Weight, k_max: int) -> IterateReport:
     )
 
 
-@dataclass(frozen=True)
-class ConjectureRow:
-    label: Weight
-    polynomial: LatticePolynomial
-    integer: bool
-    nonnegative: bool
-    constant_term: Fraction
-    notes: tuple[str, ...]
-
-
 def full_dim_labels(rs: RootSystem, dominant_only: bool = True) -> tuple[Weight, ...]:
     """Labels of full-dimensional components: 0/1 coordinate patterns.
 
@@ -447,22 +393,9 @@ def full_dim_labels(rs: RootSystem, dominant_only: bool = True) -> tuple[Weight,
     return tuple(sorted(out))
 
 
-def conjecture_scan(rs: RootSystem, labels, kind: str) -> tuple[ConjectureRow, ...]:
+def conjecture_scan(rs: RootSystem, labels, kind: str) -> tuple[FitReport, ...]:
     """Fit every label and report coefficient signs; asserts nothing."""
-    rows = []
-    for lam in labels:
-        rep = fit_ehrhart_like(rs, lam, kind)
-        rows.append(
-            ConjectureRow(
-                label=tuple(lam),
-                polynomial=rep.polynomial,
-                integer=rep.integer,
-                nonnegative=rep.nonnegative,
-                constant_term=rep.polynomial.constant_term(),
-                notes=rep.notes,
-            )
-        )
-    return tuple(rows)
+    return tuple(fit_ehrhart_like(rs, lam, kind) for lam in labels)
 
 
 def tr_symmetry_scan(

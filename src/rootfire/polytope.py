@@ -24,6 +24,7 @@ from .rootsys import (
     dominant_rep,
     is_dominant,
     pairing,
+    root_order_leq,
     weyl_orbit,
 )
 
@@ -111,17 +112,13 @@ class DiscretePermutohedron:
 def perm_contains(rs: RootSystem, lam_dom: Weight, mu: Weight) -> bool:
     """Whether ``mu`` lies in the discrete permutohedron centered at ``lam_dom``.
 
-    Requires the right coset (integral root coordinates of the difference)
-    and dominance-order comparison of the dominant representatives.
+    That is, the dominant representative of ``mu`` lies below ``lam_dom``
+    in the root order.  Each simple reflection moves ``mu`` by an integer
+    multiple of a simple root, so this also tests the lattice coset.
     """
     if not is_dominant(lam_dom):
         raise PreconditionError(f"{lam_dom} is not dominant")
-    diff = tuple(a - b for a, b in zip(lam_dom, mu))
-    if any(x.denominator != 1 for x in rs.root_coords(diff)):
-        return False
-    mu_dom, _ = dominant_rep(rs, mu)
-    gap = tuple(a - b for a, b in zip(lam_dom, mu_dom))
-    return all(x >= 0 for x in rs.root_coords(gap))
+    return root_order_leq(rs, dominant_rep(rs, mu)[0], lam_dom)
 
 
 def enumerate_perm(

@@ -60,6 +60,11 @@ def test_usage_errors_exit_1(capsys):
     code, out, _ = run(capsys, "verify", "traverse", "A2", "--cmax", "-1")
     assert code == 1 and "PASS" not in out
     assert run(capsys, "ehrhart", "A2", "sym", "0,0", "--degree", "-1")[0] == 1
+    # an option the suite does not read is refused, not ignored
+    code, out, _ = run(capsys, "verify", "traverse", "A2", "--k", "7")
+    assert code == 1 and "PASS" not in out
+    code, out, _ = run(capsys, "verify", "tables", "A2", "--trials", "0")
+    assert code == 1 and "PASS" not in out
 
 
 def test_stabilize_output(capsys):
@@ -138,6 +143,17 @@ def test_graph_cap_exit_3(capsys, monkeypatch):
         capsys, "verify", "symmetry", "A2", "--k", "1", "--max-points", "10"
     )
     assert code == 3 and "cap" in err
+
+
+def test_svg_rank_is_checked_before_the_box(capsys, monkeypatch):
+    def no_points(*args, **kwargs):
+        raise AssertionError("the box was built")
+
+    monkeypatch.setattr(fi, "product", no_points)
+    code, _, err = run(
+        capsys, "graph", "A3", "sym", "1", "--box", "30", "--format", "svg"
+    )
+    assert code == 1 and "rank-2" in err
 
 
 def test_cap_holds_only_in_the_command_thread(capsys, monkeypatch):

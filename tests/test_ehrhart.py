@@ -97,6 +97,71 @@ def test_fit_samples_have_zero_residual():
         assert rep.polynomial.evaluate(s["ks"], s["kl"]) == s["count"]
 
 
+def _grid(ks, kls, counts):
+    rows = [{"ks": a, "kl": b} for a in ks for b in kls]
+    return [{**row, "count": c} for row, c in zip(rows, counts)]
+
+
+def _monomials(coeffs):
+    return [{"exp": list(e), "num": c, "den": 1} for e, c in sorted(coeffs.items())]
+
+
+# the B2 count 4 + 4ks + 6kl + ks^2 + 4ks*kl + 2kl^2 of sym (0,1) and perm (0,1)
+_B2_SYM_01 = {(0, 0): 4, (0, 1): 6, (0, 2): 2, (1, 0): 4, (1, 1): 4, (2, 0): 1}
+
+
+def test_fit_reports_are_pinned():
+    # whole reports: sample grids in order, held-out k = 0 rows, check points
+    # and notes, not just the fitted polynomials
+    a2, b2 = from_spec("A2"), from_spec("B2")
+    assert fit_ehrhart_like(a2, (1, -1), "tr").to_json_obj() == {
+        "system": "A2", "label": [1, -1], "kind": "tr", "variables": 1,
+        "monomials": _monomials({(0,): 1, (1,): 2}),
+        "integer": True, "nonnegative": True,
+        "samples": [{"k": 0, "count": 1, "held_out": True}]
+        + [{"k": k, "count": c} for k, c in ((1, 3), (2, 5), (3, 7))],
+        "verified_at": [{"k": 4, "count": 9}, {"k": 5, "count": 11}],
+        "notes": [],
+    }
+    assert fit_ehrhart_like(b2, (0, 1), "sym").to_json_obj() == {
+        "system": "B2", "label": [0, 1], "kind": "sym", "variables": 2,
+        "monomials": _monomials(_B2_SYM_01),
+        "integer": True, "nonnegative": True,
+        "samples": _grid((1, 2, 3), (0, 1, 2), (9, 21, 37, 16, 32, 52, 25, 45, 69)),
+        "verified_at": [
+            {"ks": 0, "kl": 0, "count": 4},
+            {"ks": 4, "kl": 3, "count": 120},
+            {"ks": 4, "kl": 0, "count": 36},
+        ],
+        "notes": [],
+    }
+    assert fit_ehrhart_like(b2, (0, 0), "tr").to_json_obj() == {
+        "system": "B2", "label": [0, 0], "kind": "tr", "variables": 2,
+        "monomials": _monomials(
+            {(0, 0): 1, (0, 1): 2, (0, 2): 2, (1, 0): 2, (1, 1): 4, (2, 0): 1}
+        ),
+        "integer": True, "nonnegative": True,
+        "samples": [{"ks": 0, "kl": 0, "count": 1, "held_out": True}]
+        + _grid((1, 2, 3), (0, 1, 2), (4, 12, 24, 9, 21, 37, 16, 32, 52)),
+        "verified_at": [
+            {"ks": 4, "kl": 3, "count": 97},
+            {"ks": 4, "kl": 0, "count": 25},
+        ],
+        "notes": ["two-length-truncated-fit-unproven"],
+    }
+    assert perm_ehrhart(b2, (0, 1)).to_json_obj() == {
+        "system": "B2", "label": [0, 1], "kind": "perm", "variables": 2,
+        "monomials": _monomials(_B2_SYM_01),
+        "integer": True, "nonnegative": True,
+        "samples": _grid((0, 1, 2), (0, 1, 2), (4, 12, 24, 9, 21, 37, 16, 32, 52)),
+        "verified_at": [
+            {"ks": 3, "kl": 3, "count": 97},
+            {"ks": 3, "kl": 0, "count": 25},
+        ],
+        "notes": [],
+    }
+
+
 def test_perm_ehrhart_examples():
     assert perm_ehrhart(from_spec("A1"), (0,)).polynomial == poly1({(1,): 1, (0,): 1})
     rep = perm_ehrhart(from_spec("A2"), (0, 0))
@@ -187,7 +252,7 @@ def test_conjecture_scan_reports():
     assert all(r.integer and r.nonnegative for r in rows)
     rows = conjecture_scan(a2, full_dim_labels(a2, dominant_only=False), "tr")
     assert len(rows) == 13
-    assert all(r.constant_term == 1 for r in rows)
+    assert all(r.polynomial.constant_term() == 1 for r in rows)
 
 
 def test_full_dim_labels():

@@ -32,12 +32,13 @@ def test_enumerate_perm_sizes():
 
 
 def test_enumerate_perm_agrees_with_membership():
-    rs = from_spec("B2")
-    lam = (2, 1)
-    perm = enumerate_perm(rs, lam)
-    box = list(product(range(-6, 7), repeat=2))
-    members = {w for w in box if perm_contains(rs, lam, w)}
-    assert members == set(perm.points)
+    for spec, lam, bound in [("B2", (2, 1), 6), ("A3", (1, 0, 1), 3), ("G2", (1, 1), 7)]:
+        rs = from_spec(spec)
+        perm = enumerate_perm(rs, lam)
+        box = list(product(range(-bound, bound + 1), repeat=rs.rank))
+        assert set(perm.points) <= set(box)
+        members = {w for w in box if perm_contains(rs, lam, w)}
+        assert members == set(perm.points)
 
 
 def test_enumerate_perm_is_weyl_stable():
