@@ -154,10 +154,12 @@ def _svg_render(rs, graph: fi.FiringGraph) -> str:
     off = b[0][1] / e1[0]
     e2 = (off, math.sqrt(b[1][1] - off * off))
 
+    f = rs.index_of_connection
+
     def xy(w):
-        r = rs.root_coords(w)
-        x = float(r[0]) * e1[0] + float(r[1]) * e2[0]
-        y = float(r[0]) * e1[1] + float(r[1]) * e2[1]
+        r0, r1 = (c / f for c in rs.root_coords(w))
+        x = r0 * e1[0] + r1 * e2[0]
+        y = r0 * e1[1] + r1 * e2[1]
         return x, -y  # svg y grows downward
 
     reps = rsys.minuscule_weights(rs)
@@ -165,7 +167,7 @@ def _svg_render(rs, graph: fi.FiringGraph) -> str:
     def coset(w):
         for i, om in enumerate(reps):
             diff = tuple(a - b_ for a, b_ in zip(w, om))
-            if all(x.denominator == 1 for x in rs.root_coords(diff)):
+            if all(x % f == 0 for x in rs.root_coords(diff)):
                 return i
         return 0
 

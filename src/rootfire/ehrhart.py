@@ -23,7 +23,7 @@ from .firing import (
     stabilization_label,
 )
 from .polytope import enumerate_perm
-from .rootsys import RootSystem, Weight, is_dominant, weyl_orbit
+from .rootsys import RootSystem, Weight, require_dominant, weyl_orbit
 
 Exponent = tuple[int, ...]
 
@@ -268,8 +268,7 @@ def perm_ehrhart(
     The coefficients are nonnegative integers for every dominant center;
     a fit that is not is a bug, so callers should assert the flags.
     """
-    if not is_dominant(lam_dom):
-        raise PreconditionError(f"{lam_dom} is not dominant")
+    require_dominant(lam_dom)
 
     def counter(ks: int, kl: int) -> int:
         return _count_perm(rs, lam_dom, FiringParams.make("symmetric", ks, kl))

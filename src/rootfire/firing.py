@@ -280,7 +280,6 @@ def component(
     weight: Weight,
     params: FiringParams,
     force: bool = False,
-    max_points: int | None = None,
 ) -> tuple[Weight, ...]:
     """Connected component of the firing graph through ``weight``.
 
@@ -295,7 +294,7 @@ def component(
         lab = stabilization_label(rs, weight, params)
         lab_dom, _ = dominant_rep(rs, lab)
         center = eta(rs, lab_dom, params)
-    cap = point_cap(max_points)
+    cap = point_cap()
     start = tuple(weight)
     seen = {start}
     queue = deque([start])
@@ -322,7 +321,6 @@ def fiber(
     params: FiringParams,
     force: bool = False,
     check: bool = True,
-    max_points: int | None = None,
 ) -> tuple[Weight, ...]:
     """All weights whose stabilization label is ``label``.
 
@@ -335,7 +333,7 @@ def fiber(
     if params.kind == "symmetric" and not sym_sink_labels_valid(rs, label):
         return ()
     sink = eta(rs, label, params)
-    comp = component(rs, sink, params, force=force, max_points=max_points)
+    comp = component(rs, sink, params, force=force)
     if check and good:
         for v in comp:
             if stabilize(rs, v, params) != sink:
@@ -407,13 +405,10 @@ def coord_box(rs: RootSystem, bound: int) -> list[Weight]:
 
 
 def build_graph(
-    rs: RootSystem,
-    region: Iterable[Weight],
-    params: FiringParams,
-    max_points: int | None = None,
+    rs: RootSystem, region: Iterable[Weight], params: FiringParams
 ) -> FiringGraph:
     """Graph induced on a finite region: edges with both endpoints inside."""
-    cap = point_cap(max_points)
+    cap = point_cap()
     vertices = tuple(sorted({tuple(v) for v in region}))
     if len(vertices) > cap:
         raise ResourceCapError(f"region exceeds the cap of {cap} points")
@@ -508,22 +503,11 @@ def quotient_affine_image(rs: RootSystem, word: WeylWord, weight: Weight) -> Wei
     to itself; anything else trips the integrality check.
     """
     h = rs.coxeter_number
-    shifted = tuple(Fraction(x) - Fraction(1, h) for x in weight)
-    moved = apply_word(rs, word, shifted)
-    back = tuple(x + Fraction(1, h) for x in moved)
-    if any(x.denominator != 1 for x in back):
+    # w is linear: w(v - rho/h) + rho/h = w(v) + (rho - w(rho))/h
+    shift = tuple(a - b for a, b in zip(rs.rho(), apply_word(rs, word, rs.rho())))
+    if any(x % h for x in shift):
         raise InvariantViolationError(f"affine symmetry left the weight lattice at {weight}")
-    return tuple(int(x) for x in back)
-
-
-def _undirected_edges(rs, vertices, params):
-    vset = set(vertices)
-    edges = set()
-    for v in vertices:
-        for w, _ in neighbors(rs, v, params, "out"):
-            if w in vset:
-                edges.add((min(v, w), max(v, w)))
-    return edges
+    return tuple(a + b // h for a, b in zip(apply_word(rs, word, weight), shift))
 
 
 def graph_symmetry_check(
@@ -541,7 +525,6 @@ def graph_symmetry_check(
     violations: list[str] = []
     if params.kind == "symmetric":
         vertices = ball_region(rs, r2)
-        edges = _undirected_edges(rs, vertices, params)
         maps = [(f"s{i}", (i,)) for i in range(1, rs.rank + 1)]
 
         def image(word, v):
@@ -550,7 +533,6 @@ def graph_symmetry_check(
     elif params.kind == "truncated":
         center = tuple(Fraction(1, h) for _ in range(rs.rank))
         vertices = ball_region(rs, r2, center)
-        edges = _undirected_edges(rs, vertices, params)
         maps = [(f"C[{i}]", word) for i, word in enumerate(subgroup_C(rs))]
 
         def image(word, v):
@@ -559,6 +541,9 @@ def graph_symmetry_check(
     else:
         raise PreconditionError("symmetry check applies to symmetric/truncated kinds")
 
+    graph = build_graph(rs, vertices, params)
+    pts = graph.vertices
+    edges = {(min(pts[s], pts[t]), max(pts[s], pts[t])) for s, t, _ in graph.edges}
     for name, word in maps:
         for v, w in sorted(edges):
             iv, iw = image(word, v), image(word, w)

@@ -9,7 +9,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import floor
 
 from .errors import (
     DomainError,
@@ -24,6 +23,7 @@ from .rootsys import (
     dominant_rep,
     is_dominant,
     pairing,
+    require_dominant,
     root_order_leq,
     weyl_orbit,
 )
@@ -33,33 +33,34 @@ DEFAULT_MAX_POINTS = 10**6
 _SCOPED_CAP: ContextVar[int | None] = ContextVar("rootfire_point_cap", default=None)
 
 
-def point_cap(explicit: int | None = None) -> int:
-    """Enumeration cap, taken from the first of these that is set:
-
-    1. the explicit argument;
-    2. the cap of the innermost enclosing ``scoped_cap`` in this context;
-    3. the ``ROOTFIRE_MAX_POINTS`` environment variable;
-    4. ``DEFAULT_MAX_POINTS``.
-
-    A cap below 1 is rejected, wherever it comes from.
-    """
-    if explicit is None:
-        explicit = _SCOPED_CAP.get()
-    if explicit is not None:
-        cap = explicit
-    else:
-        env = os.environ.get("ROOTFIRE_MAX_POINTS")
-        if not env:
-            return DEFAULT_MAX_POINTS
-        try:
-            cap = int(env)
-        except ValueError:
-            raise PreconditionError(
-                f"ROOTFIRE_MAX_POINTS must be an integer, got {env!r}"
-            ) from None
+def _checked_cap(cap: int) -> int:
     if cap < 1:
         raise PreconditionError(f"the point cap must be at least 1, got {cap}")
     return cap
+
+
+def point_cap() -> int:
+    """Enumeration cap, taken from the first of these that is set:
+
+    1. the cap of the innermost enclosing ``scoped_cap`` in this context;
+    2. the ``ROOTFIRE_MAX_POINTS`` environment variable;
+    3. ``DEFAULT_MAX_POINTS``.
+
+    A cap below 1 is rejected, wherever it comes from.
+    """
+    scoped = _SCOPED_CAP.get()
+    if scoped is not None:
+        return scoped
+    env = os.environ.get("ROOTFIRE_MAX_POINTS")
+    if not env:
+        return DEFAULT_MAX_POINTS
+    try:
+        cap = int(env)
+    except ValueError:
+        raise PreconditionError(
+            f"ROOTFIRE_MAX_POINTS must be an integer, got {env!r}"
+        ) from None
+    return _checked_cap(cap)
 
 
 @contextmanager
@@ -72,7 +73,7 @@ def scoped_cap(cap: int | None):
     applies already.  The cap is resolved and checked on entry, so a bad
     cap fails before the block runs.
     """
-    token = _SCOPED_CAP.set(point_cap(cap))
+    token = _SCOPED_CAP.set(point_cap() if cap is None else _checked_cap(cap))
     try:
         yield
     finally:
@@ -116,14 +117,11 @@ def perm_contains(rs: RootSystem, lam_dom: Weight, mu: Weight) -> bool:
     in the root order.  Each simple reflection moves ``mu`` by an integer
     multiple of a simple root, so this also tests the lattice coset.
     """
-    if not is_dominant(lam_dom):
-        raise PreconditionError(f"{lam_dom} is not dominant")
+    require_dominant(lam_dom)
     return root_order_leq(rs, dominant_rep(rs, mu)[0], lam_dom)
 
 
-def enumerate_perm(
-    rs: RootSystem, lam_dom: Weight, max_points: int | None = None
-) -> DiscretePermutohedron:
+def enumerate_perm(rs: RootSystem, lam_dom: Weight) -> DiscretePermutohedron:
     """All lattice points of the permutohedron of a dominant weight.
 
     Enumerates the dominant slice (differences of simple roots within the
@@ -131,9 +129,8 @@ def enumerate_perm(
     Weyl orbit.  Results are cached per (system, center, cap); traverse
     scans hit the same center once per root.
     """
-    if not is_dominant(lam_dom):
-        raise PreconditionError(f"{lam_dom} is not dominant")
-    return _enumerate_perm_cached(rs, tuple(lam_dom), point_cap(max_points))
+    require_dominant(lam_dom)
+    return _enumerate_perm_cached(rs, tuple(lam_dom), point_cap())
 
 
 @lru_cache(maxsize=64)
@@ -145,8 +142,9 @@ def _enumerate_perm_cached(
         raise PreconditionError(f"{lam_dom} has negative root coordinates")
     # dominant slice points differ from the center by lattice vectors inside
     # the root-coordinate box, so flooring the (possibly fractional) bounds
-    # loses nothing
-    ranges = [range(floor(b) + 1) for b in bounds]
+    # b / f loses nothing
+    f = rs.index_of_connection
+    ranges = [range(b // f + 1) for b in bounds]
     points: set[Weight] = set()
     for a in product(*ranges):
         nu = tuple(
@@ -194,8 +192,7 @@ def is_funny(rs: RootSystem, lam_dom: Weight) -> bool:
     node of the unique long-short Dynkin edge, at least 1 at its long node,
     and no smaller coordinate at any other long node.
     """
-    if not is_dominant(lam_dom):
-        raise PreconditionError(f"{lam_dom} is not dominant")
+    require_dominant(lam_dom)
     if rs.simply_laced:
         return False
     d_long = max(rs.symmetrizer)
@@ -221,8 +218,7 @@ def is_funny(rs: RootSystem, lam_dom: Weight) -> bool:
 
 def traverse_formula(rs: RootSystem, lam_dom: Weight, alpha: RootVec) -> int:
     """Closed form for the shortest maximal root string."""
-    if not is_dominant(lam_dom):
-        raise PreconditionError(f"{lam_dom} is not dominant")
+    require_dominant(lam_dom)
     if not rs.is_root(alpha):
         raise DomainError(f"{alpha} is not a root of {rs.spec}")
     if all(x <= 0 for x in alpha):

@@ -5,6 +5,10 @@ Conventions, fixed across the whole package:
 * Weights are tuples of integers in the fundamental-weight basis, so
   coordinate ``i`` of a weight is its pairing with the i-th simple coroot.
 * Roots are tuples of integers in the simple-root basis.
+* ``RootSystem.root_coords`` returns simple-root coordinates scaled by the
+  index of connection f (``index_of_connection``), so they are integers
+  for every integer weight; a weight lies in the root lattice exactly
+  when all of them are divisible by f.
 * ``cartan[i][j]`` is the pairing of the i-th simple root with the j-th
   simple coroot; consequently row ``i`` of the Cartan matrix is the i-th
   simple root written in weight coordinates.
@@ -22,7 +26,12 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ClassificationError, DomainError, InvariantViolationError
+from .errors import (
+    ClassificationError,
+    DomainError,
+    InvariantViolationError,
+    PreconditionError,
+)
 
 Weight = tuple[int, ...]
 RootVec = tuple[int, ...]
@@ -105,46 +114,34 @@ def _symmetrizer(cartan) -> tuple[int, ...]:
     return out
 
 
-def _mat_inv_transpose(cartan) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of the transposed Cartan matrix."""
+def _scaled_inverse_transpose(cartan) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The index of connection f and the integer matrix f * (C^T)^-1.
+
+    One exact Gauss-Jordan pass over ``[C^T | I]``; the product of its
+    pivots is det C up to sign, and f = |det C|.
+    """
     n = len(cartan)
     aug = [
         [Fraction(cartan[j][i]) for j in range(n)]
         + [Fraction(1 if j == i else 0) for j in range(n)]
         for i in range(n)
     ]
+    det = Fraction(1)
     for col in range(n):
         piv = next(r for r in range(col, n) if aug[r][col] != 0)
         aug[col], aug[piv] = aug[piv], aug[col]
         scale = aug[col][col]
+        det *= scale
         aug[col] = [x / scale for x in aug[col]]
         for r in range(n):
             if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def _det(cartan) -> int:
-    n = len(cartan)
-    m = [[Fraction(x) for x in row] for row in cartan]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    if det != int(det):
-        raise InvariantViolationError("non-integer Cartan determinant")
-    return int(det)
+                c = aug[r][col]
+                aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
+    f = abs(det)
+    scaled = [[f * x for x in row[n:]] for row in aug]
+    if f.denominator != 1 or any(x.denominator != 1 for row in scaled for x in row):
+        raise InvariantViolationError("f * (C^T)^-1 is not an integer matrix")
+    return int(f), tuple(tuple(int(x) for x in row) for row in scaled)
 
 
 class RootSystem:
@@ -170,8 +167,9 @@ class RootSystem:
         self.rank = rank
         self.cartan = _cartan_matrix(type_letter, rank)
         self.symmetrizer = _symmetrizer(self.cartan)
-        self._cartan_inv_t = _mat_inv_transpose(self.cartan)
-        self.index_of_connection = abs(_det(self.cartan))
+        self.index_of_connection, self._scaled_inv_t = _scaled_inverse_transpose(
+            self.cartan
+        )
 
         self.pos_roots = self._generate_pos_roots()
         self._root_index = {r: i for i, r in enumerate(self.pos_roots)}
@@ -286,19 +284,24 @@ class RootSystem:
         v = tuple(v)
         return v in self._root_index or tuple(-x for x in v) in self._root_index
 
-    def root_coords(self, weight) -> tuple[Fraction, ...]:
-        """Exact simple-root coordinates of a vector given in weight coords."""
-        inv = self._cartan_inv_t
+    def root_coords(self, weight) -> tuple[int, ...]:
+        """Simple-root coordinates of a weight-coordinate vector, times f.
+
+        Integers for an integer weight; ``f = index_of_connection``.
+        """
+        inv = self._scaled_inv_t
         return tuple(
             sum(inv[i][j] * weight[j] for j in range(self.rank)) for i in range(self.rank)
         )
 
     def quad_norm(self, weight) -> Fraction:
-        """Squared length of a weight-coordinate vector (symmetrized form)."""
+        """Squared length of a weight-coordinate vector (symmetrized form).
+
+        Takes integer or exact-rational coordinates.
+        """
         r = self.root_coords(weight)
-        return sum(
-            Fraction(self.symmetrizer[j]) * r[j] * weight[j] for j in range(self.rank)
-        )
+        total = sum(self.symmetrizer[j] * r[j] * weight[j] for j in range(self.rank))
+        return Fraction(total, self.index_of_connection)
 
     def __repr__(self):
         return f"RootSystem({self.spec})"
@@ -395,11 +398,17 @@ def is_dominant(weight: Weight) -> bool:
     return all(c >= 0 for c in weight)
 
 
+def require_dominant(weight: Weight) -> None:
+    """Precondition of everything centered at a dominant weight."""
+    if not is_dominant(weight):
+        raise PreconditionError(f"{weight} is not dominant")
+
+
 def root_order_leq(rs: RootSystem, mu: Weight, lam: Weight) -> bool:
     """Whether ``lam - mu`` is a nonnegative integer sum of simple roots."""
     diff = tuple(a - b for a, b in zip(lam, mu))
-    coords = rs.root_coords(diff)
-    return all(x.denominator == 1 and x >= 0 for x in coords)
+    f = rs.index_of_connection
+    return all(x >= 0 and x % f == 0 for x in rs.root_coords(diff))
 
 
 def root_order_leq_root(rs: RootSystem, r1: RootVec, r2: RootVec) -> bool:

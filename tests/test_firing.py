@@ -1,6 +1,7 @@
 """Firing relations, stabilization, labels, components, and symmetries."""
 
 import json
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -22,6 +23,7 @@ from rootfire.firing import (
     is_sink,
     matrix_firing_edges,
     neighbors,
+    quotient_affine_image,
     reachable_central_sinks,
     rho_of_k,
     stabilization_label,
@@ -29,8 +31,8 @@ from rootfire.firing import (
     stabilize_trace,
     sym_sink_labels_valid,
 )
-from rootfire.polytope import enumerate_perm
-from rootfire.rootsys import from_spec, weyl_orbit
+from rootfire.polytope import enumerate_perm, scoped_cap
+from rootfire.rootsys import apply_word, from_spec, subgroup_C, weyl_orbit
 
 SYM0 = FiringParams.make("sym", 0)
 SYM1 = FiringParams.make("sym", 1)
@@ -202,8 +204,8 @@ def test_component_examples():
 
 def test_component_cap():
     a2 = from_spec("A2")
-    with pytest.raises(errors.ResourceCapError):
-        component(a2, (0, 0), FiringParams.make("tr", 3), max_points=3)
+    with pytest.raises(errors.ResourceCapError), scoped_cap(3):
+        component(a2, (0, 0), FiringParams.make("tr", 3))
 
 
 def test_fiber_examples():
@@ -367,6 +369,19 @@ def test_graph_symmetries(spec):
         assert rep.passed, rep.violations[:3]
         rep = graph_symmetry_check(rs, FiringParams.make("tr", k, k), 2 * k + 2)
         assert rep.passed, rep.violations[:3]
+
+
+@pytest.mark.parametrize("spec", ["A2", "A3", "D4", "E6"])
+def test_quotient_affine_image_matches_rational_formula(spec):
+    rs = from_spec(spec)
+    shift = Fraction(1, rs.coxeter_number)
+    for word in subgroup_C(rs):
+        for v in product(range(-1, 2), repeat=rs.rank):
+            # v -> w(v - rho/h) + rho/h, computed in exact rationals
+            moved = apply_word(rs, word, tuple(Fraction(x) - shift for x in v))
+            assert quotient_affine_image(rs, word, v) == tuple(x + shift for x in moved)
+    with pytest.raises(errors.InvariantViolationError):
+        quotient_affine_image(from_spec("A2"), (1,), (0, 0))
 
 
 def test_matrix_firing_limit_on_ball():

@@ -9,6 +9,7 @@ from rootfire.polytope import (
     enumerate_perm,
     is_funny,
     perm_contains,
+    scoped_cap,
     traverse_bruteforce,
     traverse_formula,
 )
@@ -60,11 +61,11 @@ def test_perm_size_monotone_in_root_order():
 
 def test_enumerate_perm_cap():
     rs = from_spec("A2")
-    with pytest.raises(errors.ResourceCapError):
-        enumerate_perm(rs, (9, 9), max_points=10)
+    with pytest.raises(errors.ResourceCapError), scoped_cap(10):
+        enumerate_perm(rs, (9, 9))
     for cap in (0, -5):
-        with pytest.raises(errors.PreconditionError):
-            enumerate_perm(rs, (1, 1), max_points=cap)
+        with pytest.raises(errors.PreconditionError), scoped_cap(cap):
+            enumerate_perm(rs, (1, 1))
 
 
 def test_point_set_export():

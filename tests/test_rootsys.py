@@ -58,6 +58,20 @@ def test_counts_and_invariants(spec):
     )
 
 
+@pytest.mark.parametrize("spec", sorted(CLASSIFICATION))
+def test_root_coords_are_integers_scaled_by_f(spec):
+    # row i of the Cartan matrix is simple root i in weight coordinates, so
+    # summing the rows with the returned coefficients must give f * v back
+    rs = from_spec(spec)
+    f, n = rs.index_of_connection, rs.rank
+    for v in product(range(-1, 2), repeat=n):
+        r = rs.root_coords(v)
+        assert all(type(x) is int for x in r)
+        assert tuple(
+            sum(r[i] * rs.cartan[i][j] for i in range(n)) for j in range(n)
+        ) == tuple(f * x for x in v)
+
+
 @pytest.mark.parametrize("spec", ["Z9", "B1", "C2", "D3", "E9", "F5", "G3", "A0", ""])
 def test_invalid_specs_rejected(spec):
     with pytest.raises(errors.ClassificationError):
