@@ -20,6 +20,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Iterable, Literal, NamedTuple
 
@@ -120,8 +121,12 @@ def rho_of_k(rs: RootSystem, params: FiringParams) -> Weight:
     )
 
 
+@lru_cache(maxsize=None)
 def _bounds(rs: RootSystem, params: FiringParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per-root closed pairing bounds [lo, hi] for fireability."""
+    """Per-root closed pairing bounds [lo, hi] for fireability.
+
+    Built once per (system, params) pair and then served from the cache.
+    """
     lo, hi = [], []
     for idx in range(len(rs.pos_roots)):
         if params.kind == "central":
@@ -198,12 +203,6 @@ def sym_sink_labels_valid(rs: RootSystem, weight: Weight) -> bool:
 # -- stabilization -----------------------------------------------------------
 
 
-def step_budget(rs: RootSystem, weight: Weight, params: FiringParams) -> int:
-    """Crude quadratic-potential bound; exceeding it signals a bug."""
-    reach = max((abs(p) for p in kernel.pairings(rs.pos_coroots, weight)), default=0)
-    return 4 * len(rs.pos_roots) * (reach + params.k_max() + 2) ** 2
-
-
 def stabilize_trace(
     rs: RootSystem,
     weight: Weight,
@@ -213,19 +212,17 @@ def stabilize_trace(
     """Fire until stable; returns (sink, number of firings).
 
     ``seed=None`` fires the first fireable root in positive-root order;
-    a seed fires roots in a seeded-random order.
+    a seed fires roots in a seeded-random order.  The step budget is a
+    crude quadratic-potential bound; exceeding it signals a bug.
     """
     if params.kind == "central":
         raise PreconditionError("central firing has no stabilization; explore instead")
     lo, hi = _bounds(rs, params)
+    pair = kernel.pairings(rs.pos_coroots, weight)
+    reach = max(map(abs, pair), default=0)
+    budget = 4 * len(pair) * (reach + params.k_max() + 2) ** 2
     return kernel.stabilize(
-        tuple(weight),
-        rs.pos_root_weights,
-        rs.pos_coroots,
-        lo,
-        hi,
-        step_budget(rs, weight, params),
-        seed,
+        tuple(weight), pair, rs.pos_root_weights, rs.pos_gram, lo, hi, budget, seed
     )
 
 
@@ -557,21 +554,3 @@ def graph_symmetry_check(
         maps_checked=len(maps),
         violations=tuple(violations),
     )
-
-
-# -- reference relation for the simple-root-only limit ------------------------
-
-
-def matrix_firing_edges(rs: RootSystem, weight: Weight) -> list[tuple[Weight, int]]:
-    """Moves of the Cartan-matrix chip-firing relation at one weight.
-
-    Subtracts a simple root wherever the coordinate is at least 2; the
-    symmetric process reproduces these moves near its sinks under the
-    reflection-translation that sends ``rho + ball`` onto ``rho_k + ball``.
-    """
-    out = []
-    for i in range(rs.rank):
-        if weight[i] >= 2:
-            row = rs.cartan[i]
-            out.append((tuple(a - b for a, b in zip(weight, row)), i))
-    return out

@@ -1,11 +1,16 @@
 """The stabilization hot loops, in exact integer Python.
 
 Coordinates are Python ints, so every pairing and firing step is exact
-at any magnitude.  The seeded-random firing order draws from splitmix64,
-so a given seed fires the same roots on every platform.
+at any magnitude.  ``stabilize`` keeps the vector of coroot pairings and,
+per firing, adds one precomputed row of the root system's pairing matrix
+(``RootSystem.pos_gram``) to it; the sink is assembled once at the end
+from the per-root firing counts.  The seeded-random firing order draws
+from splitmix64, so a given seed fires the same roots on every platform.
 """
 
 from __future__ import annotations
+
+from operator import add, mul
 
 from .errors import StepBudgetError
 
@@ -25,46 +30,48 @@ def splitmix64_next(state: int) -> tuple[int, int]:
 
 def pairings(coroots, coords):
     """All coroot pairings of one weight, in positive-root order."""
-    return [sum(r * c for r, c in zip(row, coords)) for row in coroots]
+    return [sum(map(mul, row, coords)) for row in coroots]
 
 
-def stabilize(coords, root_weights, coroots, lo, hi, budget, seed=None):
+def stabilize(coords, pair, root_weights, gram, lo, hi, budget, seed=None):
     """Fire until stable; returns (sink coordinates, number of steps).
 
-    ``lo``/``hi`` are the per-root closed fireability bounds on the
-    coroot pairing.  ``seed=None`` selects the first fireable root in
-    positive-root order; otherwise roots are drawn with splitmix64.
+    ``pair`` is ``pairings(coroots, coords)``; firing root i adds
+    ``gram[i]`` to it.  ``lo``/``hi`` are the per-root closed
+    fireability bounds on the coroot pairing.  ``seed=None`` selects the
+    first fireable root in positive-root order; otherwise roots are
+    drawn with splitmix64.
     """
-    c = list(coords)
-    m = len(coroots)
+    p = list(pair)
+    m = len(p)
+    fired = [0] * m
     steps = 0
     state = 0 if seed is None else seed & _MASK
     while True:
         if seed is None:
             chosen = -1
             for j in range(m):
-                p = sum(r * x for r, x in zip(coroots[j], c))
-                if lo[j] <= p <= hi[j]:
+                if lo[j] <= p[j] <= hi[j]:
                     chosen = j
                     break
         else:
-            fireable = [
-                j
-                for j in range(m)
-                if lo[j] <= sum(r * x for r, x in zip(coroots[j], c)) <= hi[j]
-            ]
+            fireable = [j for j in range(m) if lo[j] <= p[j] <= hi[j]]
             if not fireable:
                 chosen = -1
             else:
                 state, z = splitmix64_next(state)
                 chosen = fireable[z % len(fireable)]
         if chosen < 0:
-            return tuple(c), steps
-        row = root_weights[chosen]
-        for i in range(len(c)):
-            c[i] += row[i]
+            break
+        p = list(map(add, p, gram[chosen]))
+        fired[chosen] += 1
         steps += 1
         if steps > budget:
             raise StepBudgetError(
                 f"stabilization exceeded its step budget of {budget}"
             )
+    sink = list(coords)
+    for n, row in zip(fired, root_weights):
+        if n:
+            sink = [x + n * r for x, r in zip(sink, row)]
+    return tuple(sink), steps

@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import (
     ClassificationError,
@@ -156,6 +157,8 @@ class RootSystem:
         (height, lexicographic).
     pos_root_weights : the same roots in fundamental-weight coordinates.
     pos_coroots : integer rows r with ``pairing(v, alpha) = r . v``.
+    pos_gram : ``pos_gram[i][j]`` is the pairing of root i with coroot j;
+        row i is what firing root i adds to a weight's pairing vector.
     root_d : per-root half squared length; ``length_class`` tags long/short.
     highest_root, highest_short_root : indices into ``pos_roots``.
     coxeter_number, index_of_connection : the invariants h and f.
@@ -182,6 +185,10 @@ class RootSystem:
         self.length_class = tuple("long" if d == long_d else "short" for d in self.root_d)
         self.pos_coroots = tuple(
             self._coroot_coords(r, d) for r, d in zip(self.pos_roots, self.root_d)
+        )
+        self.pos_gram = tuple(
+            tuple(sum(map(mul, cor, w)) for cor in self.pos_coroots)
+            for w in self.pos_root_weights
         )
 
         dominant = [
@@ -362,16 +369,6 @@ def apply_word_to_root(rs: RootSystem, word: WeylWord, root: RootVec) -> RootVec
         c = sum(v[i] * rs.cartan[i][j] for i in range(rs.rank))
         v[j] -= c
     return tuple(v)
-
-
-def word_inversions(rs: RootSystem, word: WeylWord) -> int:
-    """Number of positive roots sent negative by the word's Weyl element."""
-    count = 0
-    for r in rs.pos_roots:
-        img = apply_word_to_root(rs, word, r)
-        if all(x <= 0 for x in img):
-            count += 1
-    return count
 
 
 def dominant_rep(rs: RootSystem, weight: Weight) -> tuple[Weight, WeylWord]:

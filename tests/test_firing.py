@@ -21,7 +21,6 @@ from rootfire.firing import (
     fireable_roots,
     graph_symmetry_check,
     is_sink,
-    matrix_firing_edges,
     neighbors,
     quotient_affine_image,
     reachable_central_sinks,
@@ -384,6 +383,21 @@ def test_quotient_affine_image_matches_rational_formula(spec):
         quotient_affine_image(from_spec("A2"), (1,), (0, 0))
 
 
+def matrix_firing_edges(rs, weight):
+    """Moves of the Cartan-matrix chip-firing relation at one weight.
+
+    Subtracts a simple root wherever the coordinate is at least 2; the
+    symmetric process reproduces these moves near its sinks under the
+    reflection-translation that sends ``rho + ball`` onto ``rho_k + ball``.
+    """
+    out = []
+    for i in range(rs.rank):
+        if weight[i] >= 2:
+            row = rs.cartan[i]
+            out.append((tuple(a - b for a, b in zip(weight, row)), i))
+    return out
+
+
 def test_matrix_firing_limit_on_ball():
     # near its sinks the symmetric process, reflected and translated,
     # reduces to simple-root-only firing driven by the Cartan matrix
@@ -413,4 +427,12 @@ def test_step_budget_guard():
 
     lo, hi = _bounds(rs, TR1)
     with pytest.raises(errors.StepBudgetError):
-        kernel.stabilize((0, 0), rs.pos_root_weights, rs.pos_coroots, lo, hi, 1)
+        kernel.stabilize(
+            (0, 0),
+            kernel.pairings(rs.pos_coroots, (0, 0)),
+            rs.pos_root_weights,
+            rs.pos_gram,
+            lo,
+            hi,
+            1,
+        )

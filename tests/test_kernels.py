@@ -1,8 +1,14 @@
 """The stabilization kernel: exact at any magnitude, reproducible PRNG."""
 
-from rootfire import kernel
-from rootfire.firing import FiringParams, _bounds
+import random
+from itertools import product
+
+import pytest
+
+from rootfire import errors, kernel
+from rootfire.firing import FiringParams, _bounds, stabilize_trace
 from rootfire.rootsys import from_spec
+from test_rootsys import CLASSIFICATION
 
 
 def test_splitmix64_matches_published_stream():
@@ -15,19 +21,28 @@ def test_splitmix64_matches_published_stream():
     assert outputs == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
 
+def _stabilize(rs, v, lo, hi, budget, seed=None):
+    return kernel.stabilize(
+        v,
+        kernel.pairings(rs.pos_coroots, v),
+        rs.pos_root_weights,
+        rs.pos_gram,
+        lo,
+        hi,
+        budget,
+        seed,
+    )
+
+
 def test_exact_at_huge_coordinates():
     # the kernel works on Python ints, so nothing overflows at 2^70
     rs = from_spec("A1")
     params = FiringParams.make("symmetric", 0)
     lo, hi = _bounds(rs, params)
     big = (-(2**70),)
-    sink, steps = kernel.stabilize(
-        big, rs.pos_root_weights, rs.pos_coroots, lo, hi, 10
-    )
+    sink, steps = _stabilize(rs, big, lo, hi, 10)
     assert sink == big and steps == 0
-    sink, steps = kernel.stabilize(
-        (-1,), rs.pos_root_weights, rs.pos_coroots, lo, hi, 10
-    )
+    sink, steps = _stabilize(rs, (-1,), lo, hi, 10)
     assert sink == (1,) and steps == 1
     # A2: both coordinates far out, yet <v, theta^v> = -1, so theta fires
     # once in either firing order
@@ -35,6 +50,122 @@ def test_exact_at_huge_coordinates():
     lo, hi = _bounds(a2, params)
     v = (2**70, -(2**70) - 1)
     for seed in (None, 7):
-        assert kernel.stabilize(
-            v, a2.pos_root_weights, a2.pos_coroots, lo, hi, 10, seed
-        ) == ((2**70 + 1, -(2**70)), 1)
+        assert _stabilize(a2, v, lo, hi, 10, seed) == ((2**70 + 1, -(2**70)), 1)
+
+
+def _reference_stabilize(coords, root_weights, coroots, lo, hi, budget, seed=None):
+    """The recompute-every-pairing kernel, kept as the firing-order oracle.
+
+    Also returns how often each root fired.
+    """
+    c = list(coords)
+    m = len(coroots)
+    fired = [0] * m
+    steps = 0
+    state = 0 if seed is None else seed & ((1 << 64) - 1)
+    while True:
+        if seed is None:
+            chosen = -1
+            for j in range(m):
+                p = sum(r * x for r, x in zip(coroots[j], c))
+                if lo[j] <= p <= hi[j]:
+                    chosen = j
+                    break
+        else:
+            fireable = [
+                j
+                for j in range(m)
+                if lo[j] <= sum(r * x for r, x in zip(coroots[j], c)) <= hi[j]
+            ]
+            if not fireable:
+                chosen = -1
+            else:
+                state, z = kernel.splitmix64_next(state)
+                chosen = fireable[z % len(fireable)]
+        if chosen < 0:
+            return tuple(c), steps, tuple(fired)
+        row = root_weights[chosen]
+        for i in range(len(c)):
+            c[i] += row[i]
+        fired[chosen] += 1
+        steps += 1
+        if steps > budget:
+            raise errors.StepBudgetError(
+                f"stabilization exceeded its step budget of {budget}"
+            )
+
+
+def _reference_pairings(rs, v):
+    return [sum(r * x for r, x in zip(row, v)) for row in rs.pos_coroots]
+
+
+def _reference_budget(rs, v, params):
+    reach = max(abs(p) for p in _reference_pairings(rs, v))
+    return 4 * len(rs.pos_roots) * (reach + params.k_max() + 2) ** 2
+
+
+def _oracle_weights(rs):
+    """The box [-1, 1]^rank up to rank 3; above, a few fixed draws from it.
+
+    The reference kernel costs one pass over every root per step, so the
+    draws shrink as the number of roots grows (one for E7 and E8).
+    """
+    if rs.rank <= 3:
+        return list(product(range(-1, 2), repeat=rs.rank))
+    rng = random.Random(rs.spec)
+    draws = max(1, 120 // len(rs.pos_roots))
+    return [tuple(rng.randint(-1, 1) for _ in range(rs.rank)) for _ in range(draws)]
+
+
+def _oracle_params(rs):
+    ks = [(0, 0), (1, 1), (2, 2)]
+    if not rs.simply_laced:
+        # one good two-length choice, and one non-good one: without
+        # confluence the sink itself depends on every firing choice
+        ks += [(1, 2), (0, 1)]
+    return [FiringParams.make(kind, s, l) for kind in ("sym", "tr") for s, l in ks]
+
+
+@pytest.mark.parametrize("spec", sorted(CLASSIFICATION))
+def test_incremental_kernel_matches_recompute_oracle(spec):
+    rs = from_spec(spec)
+    m = len(rs.pos_roots)
+    # firing root j adds the j-th unit vector: the sink is the firing counts
+    units = tuple(tuple(int(i == j) for i in range(m)) for j in range(m))
+    for params in _oracle_params(rs):
+        lo, hi = _bounds(rs, params)
+        for v in _oracle_weights(rs):
+            budget = _reference_budget(rs, v, params)
+            for seed in (None, 1, 2, 12345):
+                sink, steps, fired = _reference_stabilize(
+                    v, rs.pos_root_weights, rs.pos_coroots, lo, hi, budget, seed
+                )
+                case = (params, v, seed)
+                assert stabilize_trace(rs, v, params, seed) == (sink, steps), case
+                pair = _reference_pairings(rs, v)
+                assert kernel.stabilize(
+                    (0,) * m, pair, units, rs.pos_gram, lo, hi, budget, seed
+                ) == (fired, steps), case
+
+
+def test_step_budget_error_matches_oracle():
+    # B2 tr k=2 from (-3, 2) needs several steps; any budget below the
+    # step count fails the same way in both kernels, and the count itself
+    # is enough
+    rs = from_spec("B2")
+    lo, hi = _bounds(rs, FiringParams.make("tr", 2))
+    v = (-3, 2)
+    for seed in (None, 12345):
+        sink, steps, _ = _reference_stabilize(
+            v, rs.pos_root_weights, rs.pos_coroots, lo, hi, 10**6, seed
+        )
+        assert steps >= 3
+        assert _stabilize(rs, v, lo, hi, steps, seed) == (sink, steps)
+        for budget in (0, steps - 1):
+            with pytest.raises(errors.StepBudgetError) as want:
+                _reference_stabilize(
+                    v, rs.pos_root_weights, rs.pos_coroots, lo, hi, budget, seed
+                )
+            with pytest.raises(errors.StepBudgetError) as got:
+                _stabilize(rs, v, lo, hi, budget, seed)
+            assert str(got.value) == str(want.value)

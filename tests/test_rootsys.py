@@ -1,5 +1,6 @@
 """Construction, invariants, and elementary operations of root systems."""
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -20,7 +21,6 @@ from rootfire.rootsys import (
     subgroup_C,
     support_sets,
     weyl_orbit,
-    word_inversions,
 )
 
 # |pos roots| = n*h/2, f = |det cartan|
@@ -70,6 +70,25 @@ def test_root_coords_are_integers_scaled_by_f(spec):
         assert tuple(
             sum(r[i] * rs.cartan[i][j] for i in range(n)) for j in range(n)
         ) == tuple(f * x for x in v)
+
+
+@pytest.mark.parametrize("spec", sorted(CLASSIFICATION))
+def test_pos_gram_matches_the_symmetrized_form(spec):
+    # <a, b^v> = 2 (a, b) / (b, b), with (a, b) = sum a_k b_l d_l C[k][l] in
+    # simple-root coordinates (C[k][l] = <alpha_k, alpha_l^v>)
+    rs = from_spec(spec)
+    n, d, c = rs.rank, rs.symmetrizer, rs.cartan
+    form = [[d[l] * c[k][l] for l in range(n)] for k in range(n)]
+    assert all(form[k][l] == form[l][k] for k in range(n) for l in range(n))
+    roots = rs.pos_roots
+    images = [[sum(a[k] * form[k][l] for k in range(n)) for l in range(n)] for a in roots]
+    dot = [[sum(x * y for x, y in zip(img, b)) for b in roots] for img in images]
+    m = len(roots)
+    assert len(rs.pos_gram) == m and all(len(row) == m for row in rs.pos_gram)
+    for i in range(m):
+        assert rs.pos_gram[i][i] == 2
+        for j in range(m):
+            assert rs.pos_gram[i][j] == Fraction(2 * dot[i][j], dot[j][j]), (i, j)
 
 
 @pytest.mark.parametrize("spec", ["Z9", "B1", "C2", "D3", "E9", "F5", "G3", "A0", ""])
@@ -156,6 +175,16 @@ def test_dominant_rep_examples():
     dom, word = dominant_rep(rs, (-1, -1))
     assert dom == (1, 1)
     assert len(word) == 3  # the longest element
+
+
+def word_inversions(rs, word):
+    """Number of positive roots sent negative by the word's Weyl element."""
+    count = 0
+    for r in rs.pos_roots:
+        img = apply_word_to_root(rs, word, r)
+        if all(x <= 0 for x in img):
+            count += 1
+    return count
 
 
 def _neg_pairing_count(rs, weight):
