@@ -68,7 +68,6 @@ from .rootsys import (
     reflect_simple,
     root_order_leq,
     subgroup_C,
-    support_sets,
     weyl_orbit,
 )
 

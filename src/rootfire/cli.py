@@ -3,6 +3,11 @@
 Exit codes: 0 success, 1 usage error, 2 verification failure,
 3 resource cap exceeded.  Output is deterministic for identical
 invocations (fixed seeds, sorted iteration everywhere).
+
+A ``verify`` suite prints one line per check, each starting with ``ok``,
+``FAIL`` or ``note``, and then ``suite S on X: PASS`` (or ``FAIL``).  A
+suite passes iff it printed no ``FAIL`` line; ``note`` lines report
+observations that carry no guarantee and never fail.
 """
 
 from __future__ import annotations
@@ -274,74 +279,68 @@ def cmd_ehrhart(args) -> int:
 
 
 # -- verify suites -----------------------------------------------------------------
+#
+# A suite yields (status, text) checks: True is ok, False is FAIL, and None is
+# a note, which never fails.  cmd_verify alone prints them and gives the verdict.
 
 
-def _suite_confluence(rs, args, say):
-    bad = 0
-    for k in range(args.k_max + 1):
-        box = fi.coord_box(rs, 2 * k + 2)
+def _equal_k_grid(k_max):
+    """(k, params) for symmetric and truncated firing with k_short = k_long = k."""
+    for k in range(k_max + 1):
         for kind in ("sym", "tr"):
-            params = fi.FiringParams.make(kind, k, k)
-            fails = sum(
-                not fi.check_confluence_random(rs, w, params, args.trials, args.seed)
-                for w in box
-            )
-            say(
-                f"{'ok' if not fails else 'FAIL'} - {rs.spec} {params.label()} "
-                f"box {2*k+2}: {len(box)} weights x {args.trials} orders, {fails} disagreements"
-            )
-            bad += fails
+            yield k, fi.FiringParams.make(kind, k, k)
+
+
+def _suite_confluence(rs, args):
+    runs = list(_equal_k_grid(args.k_max))
     if not rs.simply_laced:
-        # no guarantee without goodness; observed behaviour is reported only
-        for kl in range(1, args.k_max + 1):
-            params = fi.FiringParams.make("sym", 0, kl)
-            box = fi.coord_box(rs, 2 * kl + 2)
-            fails = sum(
-                not fi.check_confluence_random(rs, w, params, args.trials, args.seed)
-                for w in box
+        runs += [(kl, fi.FiringParams.make("sym", 0, kl)) for kl in range(1, args.k_max + 1)]
+    for k, params in runs:
+        box = fi.coord_box(rs, 2 * k + 2)
+        fails = sum(
+            not fi.check_confluence_random(rs, w, params, args.trials, args.seed)
+            for w in box
+        )
+        if params.is_good(rs):
+            yield not fails, (
+                f"{rs.spec} {params.label()} box {2*k+2}: "
+                f"{len(box)} weights x {args.trials} orders, {fails} disagreements"
             )
-            say(
-                f"note - {rs.spec} {params.label()} (not good): "
+        else:
+            # no guarantee without goodness; observed behaviour is reported only
+            yield None, (
+                f"{rs.spec} {params.label()} (not good): "
                 f"{fails} of {len(box)} weights disagreed across orders"
             )
-    return bad == 0
 
 
-def _suite_sinks(rs, args, say):
-    ok = True
-    for k in range(args.k_max + 1):
+def _suite_sinks(rs, args):
+    def labels_a_sink(w, params):
+        lab = fi.eta_inverse(rs, w, params)
+        if lab is None:
+            return False
+        return params.kind != "symmetric" or fi.sym_sink_labels_valid(rs, lab)
+
+    for k, params in _equal_k_grid(args.k_max):
         box = fi.coord_box(rs, 2 * k + 3)
-        for kind in ("sym", "tr"):
-            params = fi.FiringParams.make(kind, k, k)
-            sinks = {w for w in box if fi.is_sink(rs, w, params)}
-            expected = set()
-            for w in box:
-                lab = fi.eta_inverse(rs, w, params)
-                if lab is None:
-                    continue
-                if kind == "sym" and not fi.sym_sink_labels_valid(rs, lab):
-                    continue
-                expected.add(w)
-            good = sinks == expected
-            say(
-                f"{'ok' if good else 'FAIL'} - {rs.spec} {params.label()} sinks: "
-                f"{len(sinks)} found, {len(expected)} expected from labels"
-            )
-            ok = ok and good
-    return ok
+        sinks = {w for w in box if fi.is_sink(rs, w, params)}
+        expected = {w for w in box if labels_a_sink(w, params)}
+        yield sinks == expected, (
+            f"{rs.spec} {params.label()} sinks: "
+            f"{len(sinks)} found, {len(expected)} expected from labels"
+        )
 
 
-def _suite_traverse(rs, args, say):
-    mism = 0
-    total = 0
-    for lam in product(range(args.cmax + 1), repeat=rs.rank):
-        for root in rs.pos_roots:
-            total += 1
-            if pt.traverse_bruteforce(rs, lam, root) != pt.traverse_formula(rs, lam, root):
-                mism += 1
-                say(f"FAIL - {rs.spec} traverse mismatch at {lam} along {root}")
-    say(f"{'ok' if not mism else 'FAIL'} - {rs.spec} traverse: {total} cases, {mism} mismatches")
-    return mism == 0
+def _suite_traverse(rs, args):
+    cases = [
+        (lam, root)
+        for lam in product(range(args.cmax + 1), repeat=rs.rank)
+        for root in rs.pos_roots
+    ]
+    mism = [c for c in cases if pt.traverse_bruteforce(rs, *c) != pt.traverse_formula(rs, *c)]
+    for lam, root in mism:
+        yield False, f"{rs.spec} traverse mismatch at {lam} along {root}"
+    yield not mism, f"{rs.spec} traverse: {len(cases)} cases, {len(mism)} mismatches"
 
 
 def _edge_escapes(rs, params, center) -> list[tuple]:
@@ -354,121 +353,95 @@ def _edge_escapes(rs, params, center) -> list[tuple]:
     return out
 
 
-def _suite_nonescape(rs, args, say):
-    ok = True
+def _suite_nonescape(rs, args):
     for k in range(args.k_max + 1):
         params = fi.FiringParams.make("sym", k, k)
-        for bits in product((0, 1), repeat=rs.rank):
-            center = fi.eta(rs, bits, params)
-            esc = _edge_escapes(rs, params, center)
+        centers = [fi.eta(rs, bits, params) for bits in product((0, 1), repeat=rs.rank)]
+        escapes = [(center, _edge_escapes(rs, params, center)) for center in centers]
+        for center, esc in escapes:
             if esc:
-                ok = False
-                say(f"FAIL - {rs.spec} {params.label()} escapes {center}: {esc[:3]}")
-        say(f"ok - {rs.spec} {params.label()} non-escaping on {2**rs.rank} permutohedra")
+                yield False, f"{rs.spec} {params.label()} escapes {center}: {esc[:3]}"
+        yield not any(esc for _, esc in escapes), (
+            f"{rs.spec} {params.label()} non-escaping on {2**rs.rank} permutohedra"
+        )
     if rs.spec == "B2":
         params = fi.FiringParams.make("sym", 0, 1)  # not good
-        center = fi.rho_of_k(rs, params)
-        esc = _edge_escapes(rs, params, center)
+        esc = _edge_escapes(rs, params, fi.rho_of_k(rs, params))
         alpha1 = rs.pos_root_weights[rs.root_index((1, 0))]
-        expected = (rs.zero(), alpha1, rs.root_index((1, 0)))
-        if expected in esc:
-            say("ok - B2 sym k=(0,1) reproduces the known escaping edge 0 -> a1")
+        if (rs.zero(), alpha1, rs.root_index((1, 0))) in esc:
+            yield True, "B2 sym k=(0,1) reproduces the known escaping edge 0 -> a1"
         else:
-            say("FAIL - B2 sym k=(0,1) does not reproduce the known escaping edge")
-            ok = False
-    return ok
+            yield False, "B2 sym k=(0,1) does not reproduce the known escaping edge"
 
 
-def _suite_symmetry(rs, args, say):
-    ok = True
-    for k in range(args.k_max + 1):
-        for kind in ("sym", "tr"):
-            params = fi.FiringParams.make(kind, k, k)
-            rep = fi.graph_symmetry_check(rs, params, 2 * k + 2)
-            say(
-                f"{'ok' if rep.passed else 'FAIL'} - {rs.spec} {params.label()}: "
-                f"{rep.maps_checked} maps on {rep.num_edges} edges, "
-                f"{len(rep.violations)} violations"
-            )
-            ok = ok and rep.passed
-    return ok
+def _suite_symmetry(rs, args):
+    for k, params in _equal_k_grid(args.k_max):
+        rep = fi.graph_symmetry_check(rs, params, 2 * k + 2)
+        yield rep.passed, (
+            f"{rs.spec} {params.label()}: {rep.maps_checked} maps on "
+            f"{rep.num_edges} edges, {len(rep.violations)} violations"
+        )
 
 
-def _suite_decompose(rs, args, say):
-    ok = True
+def _suite_decompose(rs, args):
     for k in range(1, args.k_max + 1):
         params = fi.FiringParams.make("sym", k, k)
         rep = eh.decomposition_check(rs, fi.coord_box(rs, args.box), params)
-        status = "ok" if rep.passed else "FAIL"
         extra = "" if rep.tr_asserted else " (truncated identity reported only)"
-        say(
-            f"{status} - {rs.spec} k={k} decomposition on {rep.num_weights} weights: "
+        yield rep.passed, (
+            f"{rs.spec} k={k} decomposition on {rep.num_weights} weights: "
             f"{len(rep.sym_failures)} sym fails, {len(rep.tr_failures)} tr fails{extra}"
         )
-        ok = ok and rep.passed
-    return ok
 
 
-def _suite_iterate(rs, args, say):
-    ok = True
+def _suite_iterate(rs, args):
     labels = [rs.zero()] + [rs.fundamental_weight(i) for i in range(1, rs.rank + 1)]
     labels.append(rs.rho())
     for lam in labels:
         rep = eh.iterate_check(rs, lam, args.k_max)
-        good = rep.passed
-        say(
-            f"{'ok' if good else 'FAIL'} - {rs.spec} iterate {_wfmt(lam)}: "
+        yield rep.passed, (
+            f"{rs.spec} iterate {_wfmt(lam)}: "
             f"counts {list(rep.counts)} vs fitted {list(rep.fitted)}"
         )
-        ok = ok and good
-    return ok
 
 
-def _suite_tables(rs, args, say):
-    ok = True
+def _suite_tables(rs, args):
     if rs.spec not in eh.REFERENCE_SYM_POLYS:
         raise UsageError(f"no reference table for {rs.spec}")
     nvars = 1 if rs.simply_laced else 2
-    for lam in sorted(eh.REFERENCE_SYM_POLYS[rs.spec]):
-        rep = eh.fit_ehrhart_like(rs, lam, "sym")
-        want = eh.reference_poly(eh.REFERENCE_SYM_POLYS[rs.spec], nvars, lam)
-        good = rep.polynomial == want
-        say(f"{'ok' if good else 'FAIL'} - {rs.spec} sym {_wfmt(lam)}: {rep.polynomial}")
-        ok = ok and good
-    if rs.spec in eh.REFERENCE_TR_POLYS:
-        for lam in sorted(eh.REFERENCE_TR_POLYS[rs.spec]):
-            rep = eh.fit_ehrhart_like(rs, lam, "tr")
-            want = eh.reference_poly(eh.REFERENCE_TR_POLYS[rs.spec], nvars, lam)
-            good = rep.polynomial == want and rep.polynomial.constant_term() == 1
-            say(f"{'ok' if good else 'FAIL'} - {rs.spec} tr {_wfmt(lam)}: {rep.polynomial}")
-            ok = ok and good
-    return ok
+    for kind, tables in (("sym", eh.REFERENCE_SYM_POLYS), ("tr", eh.REFERENCE_TR_POLYS)):
+        table = tables.get(rs.spec, {})
+        for lam in sorted(table):
+            poly = eh.fit_ehrhart_like(rs, lam, kind).polynomial
+            good = poly == eh.reference_poly(table, nvars, lam)
+            # a truncated fit must also have constant term 1
+            yield good and (kind == "sym" or poly.constant_term() == 1), (
+                f"{rs.spec} {kind} {_wfmt(lam)}: {poly}"
+            )
 
 
-def _suite_conjectures(rs, args, say):
-    sym_rows = eh.conjecture_scan(rs, eh.full_dim_labels(rs, dominant_only=True), "sym")
-    for row in sym_rows:
-        say(
-            f"note - {rs.spec} sym {_wfmt(row.label)}: {row.polynomial} "
-            f"integer={row.integer} nonnegative={row.nonnegative}"
-        )
-    tr_rows = eh.conjecture_scan(rs, eh.full_dim_labels(rs, dominant_only=False), "tr")
-    for row in tr_rows:
-        say(
-            f"note - {rs.spec} tr {_wfmt(row.label)}: {row.polynomial} "
-            f"integer={row.integer} nonnegative={row.nonnegative} "
-            f"constant={row.polynomial.constant_term()}"
-        )
+def _suite_conjectures(rs, args):
+    # findings are data, never a failure
+    rows = {
+        kind: eh.conjecture_scan(rs, eh.full_dim_labels(rs, dominant_only=kind == "sym"), kind)
+        for kind in ("sym", "tr")
+    }
+    for kind, scanned in rows.items():
+        for row in scanned:
+            extra = f" constant={row.polynomial.constant_term()}" if kind == "tr" else ""
+            yield None, (
+                f"{rs.spec} {kind} {_wfmt(row.label)}: {row.polynomial} "
+                f"integer={row.integer} nonnegative={row.nonnegative}{extra}"
+            )
     sym_checks = eh.tr_symmetry_scan(
         rs, eh.full_dim_labels(rs), fi.FiringParams.make("tr", 1, 1)
     )
     for lam, idx, agrees in sym_checks:
-        say(
-            f"note - {rs.spec} tr k=1 fiber of {_wfmt(lam)} under C[{idx}]: "
+        yield None, (
+            f"{rs.spec} tr k=1 fiber of {_wfmt(lam)} under C[{idx}]: "
             f"{'respects' if agrees else 'breaks'} the affine symmetry"
         )
-    say(f"ok - {rs.spec} scanned {len(sym_rows)} sym and {len(tr_rows)} tr rows")
-    return True  # findings are data, never a failure
+    yield True, f"{rs.spec} scanned {len(rows['sym'])} sym and {len(rows['tr'])} tr rows"
 
 
 def _nonnegative(text: str) -> int:
@@ -510,12 +483,12 @@ def cmd_verify(args) -> int:
             f"verification suites enumerate exhaustively and default to rank <= 4; "
             f"pass --force to run on {rs.spec}"
         )
-    lines: list[str] = []
-
-    def say(msg):
-        lines.append(msg)
-
-    passed = SUITES[args.suite][0](rs, args, say)
+    checks = [
+        ("note" if status is None else "ok" if status else "FAIL", text)
+        for status, text in SUITES[args.suite][0](rs, args)
+    ]
+    passed = all(word != "FAIL" for word, _ in checks)
+    lines = [f"{word} - {text}" for word, text in checks]
     lines.append(f"suite {args.suite} on {rs.spec}: {'PASS' if passed else 'FAIL'}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0 if passed else VERIFY_EXIT

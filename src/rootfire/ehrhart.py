@@ -177,15 +177,20 @@ def _count_perm(rs: RootSystem, lam_dom: Weight, params: FiringParams) -> int:
     return len(enumerate_perm(rs, shifted).points)
 
 
-def _fit_once(rs, label, flavor, counter, d) -> FitReport:
+def _fit(rs, label, flavor, counter, degree_bound) -> FitReport:
     """Sample a grid, interpolate, and verify at held-out points.
 
     Single-length systems fit one variable k (sampled as counter(k, k));
     two-length systems fit (k_short, k_long) with a k_long axis 0..d.
     The k (or k_short) axis is s..s+d.  s = 1 for truncated fits, whose
     k = 0 count is only held out, and for two-length symmetric fits,
-    where k_short >= 1 keeps the grid good.
+    where k_short >= 1 keeps the grid good.  The degree bound d defaults
+    to the rank; a count that is not a polynomial of total degree at
+    most d raises ``FitInconsistentError``, and no larger d is tried.
     """
+    d = rs.rank if degree_bound is None else degree_bound
+    if d < 0:
+        raise DomainError(f"the degree bound must be nonnegative, got {d}")
     two = not rs.simply_laced
     s = 0 if flavor == "perm" or (flavor == "sym" and not two) else 1
     axes = [list(range(s, s + d + 1))] + ([list(range(d + 1))] if two else [])
@@ -235,16 +240,6 @@ def _fit_once(rs, label, flavor, counter, d) -> FitReport:
     )
 
 
-def _fit_with_retry(rs, label, flavor, counter, degree_bound) -> FitReport:
-    d = rs.rank if degree_bound is None else degree_bound
-    if d < 0:
-        raise DomainError(f"the degree bound must be nonnegative, got {d}")
-    try:
-        return _fit_once(rs, label, flavor, counter, d)
-    except FitInconsistentError:
-        return _fit_once(rs, label, flavor, counter, d + 1)
-
-
 def fit_ehrhart_like(
     rs: RootSystem, label: Weight, kind: str, degree_bound: int | None = None
 ) -> FitReport:
@@ -257,7 +252,7 @@ def fit_ehrhart_like(
     def counter(ks: int, kl: int) -> int:
         return count_fiber(rs, label, FiringParams.make(full_kind, ks, kl))
 
-    return _fit_with_retry(rs, label, flavor, counter, degree_bound)
+    return _fit(rs, label, flavor, counter, degree_bound)
 
 
 def perm_ehrhart(
@@ -273,7 +268,7 @@ def perm_ehrhart(
     def counter(ks: int, kl: int) -> int:
         return _count_perm(rs, lam_dom, FiringParams.make("symmetric", ks, kl))
 
-    return _fit_with_retry(rs, lam_dom, "perm", counter, degree_bound)
+    return _fit(rs, lam_dom, "perm", counter, degree_bound)
 
 
 # -- identity checks ----------------------------------------------------------

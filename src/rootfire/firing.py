@@ -215,14 +215,24 @@ def stabilize_trace(
     a seed fires roots in a seeded-random order.  The step budget is a
     crude quadratic-potential bound; exceeding it signals a bug.
     """
+    return _stabilizer(rs, weight, params)(seed)
+
+
+def _stabilizer(rs: RootSystem, weight: Weight, params: FiringParams):
+    """The kernel bound to one weight: a function from a seed to (sink, steps).
+
+    The initial pairings and the step budget depend only on the weight
+    and the parameters, so repeated firing orders share them.
+    """
     if params.kind == "central":
         raise PreconditionError("central firing has no stabilization; explore instead")
     lo, hi = _bounds(rs, params)
     pair = kernel.pairings(rs.pos_coroots, weight)
     reach = max(map(abs, pair), default=0)
     budget = 4 * len(pair) * (reach + params.k_max() + 2) ** 2
-    return kernel.stabilize(
-        tuple(weight), pair, rs.pos_root_weights, rs.pos_gram, lo, hi, budget, seed
+    coords = tuple(weight)
+    return lambda seed: kernel.stabilize(
+        coords, pair, rs.pos_root_weights, rs.pos_gram, lo, hi, budget, seed
     )
 
 
@@ -262,11 +272,9 @@ def check_confluence_random(
     """Whether ``trials`` independent random firing orders agree."""
     if trials < 2:
         raise PreconditionError("need at least two trials")
-    first = stabilize(rs, weight, params, seed=seed)
-    return all(
-        stabilize(rs, weight, params, seed=seed + t) == first
-        for t in range(1, trials)
-    )
+    run = _stabilizer(rs, weight, params)
+    first = run(seed)[0]
+    return all(run(seed + t)[0] == first for t in range(1, trials))
 
 
 # -- connected components and fibers ----------------------------------------

@@ -361,16 +361,6 @@ def apply_word(rs: RootSystem, word: WeylWord, weight):
     return v
 
 
-def apply_word_to_root(rs: RootSystem, word: WeylWord, root: RootVec) -> RootVec:
-    """Apply a Weyl word to a vector in simple-root coordinates."""
-    v = list(root)
-    for idx in word:
-        j = idx - 1
-        c = sum(v[i] * rs.cartan[i][j] for i in range(rs.rank))
-        v[j] -= c
-    return tuple(v)
-
-
 def dominant_rep(rs: RootSystem, weight: Weight) -> tuple[Weight, WeylWord]:
     """Dominant representative and the minimal word carrying it back.
 
@@ -450,11 +440,3 @@ def subgroup_C(rs: RootSystem) -> tuple[WeylWord, ...]:
         out.append((omega, word))
     out.sort(key=lambda t: (t[0] != rs.zero(), t[0]))
     return tuple(word for _, word in out)
-
-
-def support_sets(rs: RootSystem, weight: Weight) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """1-based node sets where the dominant representative is 0 / in {0,1}."""
-    dom, _ = dominant_rep(rs, weight)
-    i0 = tuple(j + 1 for j, c in enumerate(dom) if c == 0)
-    i01 = tuple(j + 1 for j, c in enumerate(dom) if c in (0, 1))
-    return i0, i01

@@ -1,11 +1,15 @@
 """CLI surface: parsing, output determinism, exit codes."""
 
+import dataclasses
 import json
 import os
 import threading
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from rootfire import ehrhart as eh
 from rootfire import errors
 from rootfire import firing as fi
 from rootfire import polytope as pt
@@ -220,14 +224,33 @@ def test_bad_env_cap_is_rejected(capsys, monkeypatch):
 
 
 def test_too_small_degree_exits_2(capsys):
-    code, _, err = run(capsys, "ehrhart", "A2", "sym", "0,0", "--degree", "0")
-    assert code == 2 and "fit failed" in err
+    # the count 3k^2 + 3k + 1 has degree 2; a lower bound is a failed fit
+    for degree in ("0", "1"):
+        code, out, err = run(capsys, "ehrhart", "A2", "sym", "0,0", "--degree", degree)
+        assert code == 2 and "fit failed" in err and out == ""
 
 
 def test_confluence_suite_reports_non_good(capsys):
+    # non-good parameters give note rows (confluence) and the known escaping
+    # edge (nonescape); neither fails its suite
     code, out, _ = run(capsys, "verify", "confluence", "B2", "--k", "1", "--trials", "5")
     assert code == 0
-    assert "note - B2 sym k=(0,1) (not good)" in out
+    assert out == (
+        "ok - B2 sym k=(0,0) box 2: 25 weights x 5 orders, 0 disagreements\n"
+        "ok - B2 tr k=(0,0) box 2: 25 weights x 5 orders, 0 disagreements\n"
+        "ok - B2 sym k=(1,1) box 4: 81 weights x 5 orders, 0 disagreements\n"
+        "ok - B2 tr k=(1,1) box 4: 81 weights x 5 orders, 0 disagreements\n"
+        "note - B2 sym k=(0,1) (not good): 0 of 81 weights disagreed across orders\n"
+        "suite confluence on B2: PASS\n"
+    )
+    code, out, _ = run(capsys, "verify", "nonescape", "B2", "--k", "1")
+    assert code == 0
+    assert out == (
+        "ok - B2 sym k=(0,0) non-escaping on 4 permutohedra\n"
+        "ok - B2 sym k=(1,1) non-escaping on 4 permutohedra\n"
+        "ok - B2 sym k=(0,1) reproduces the known escaping edge 0 -> a1\n"
+        "suite nonescape on B2: PASS\n"
+    )
 
 
 def test_verify_exit_codes(capsys):
@@ -259,8 +282,214 @@ SUITE_ARGS = {
 }
 
 
+# stdout of each suite on A2 with SUITE_ARGS
+A2_OUTPUT = {
+    "confluence": (
+        "ok - A2 sym k=(0,0) box 2: 25 weights x 5 orders, 0 disagreements\n"
+        "ok - A2 tr k=(0,0) box 2: 25 weights x 5 orders, 0 disagreements\n"
+        "ok - A2 sym k=(1,1) box 4: 81 weights x 5 orders, 0 disagreements\n"
+        "ok - A2 tr k=(1,1) box 4: 81 weights x 5 orders, 0 disagreements\n"
+        "suite confluence on A2: PASS\n"
+    ),
+    "sinks": (
+        "ok - A2 sym k=(0,0) sinks: 32 found, 32 expected from labels\n"
+        "ok - A2 tr k=(0,0) sinks: 49 found, 49 expected from labels\n"
+        "ok - A2 sym k=(1,1) sinks: 46 found, 46 expected from labels\n"
+        "ok - A2 tr k=(1,1) sinks: 65 found, 65 expected from labels\n"
+        "suite sinks on A2: PASS\n"
+    ),
+    "traverse": (
+        "ok - A2 traverse: 27 cases, 0 mismatches\n"
+        "suite traverse on A2: PASS\n"
+    ),
+    "nonescape": (
+        "ok - A2 sym k=(0,0) non-escaping on 4 permutohedra\n"
+        "ok - A2 sym k=(1,1) non-escaping on 4 permutohedra\n"
+        "suite nonescape on A2: PASS\n"
+    ),
+    "symmetry": (
+        "ok - A2 sym k=(0,0): 2 maps on 12 edges, 0 violations\n"
+        "ok - A2 tr k=(0,0): 3 maps on 0 edges, 0 violations\n"
+        "ok - A2 sym k=(1,1): 2 maps on 84 edges, 0 violations\n"
+        "ok - A2 tr k=(1,1): 3 maps on 57 edges, 0 violations\n"
+        "suite symmetry on A2: PASS\n"
+    ),
+    "decompose": (
+        "ok - A2 k=1 decomposition on 49 weights: 0 sym fails, 0 tr fails\n"
+        "suite decompose on A2: PASS\n"
+    ),
+    "iterate": (
+        "ok - A2 iterate 0,0: counts [7, 19] vs fitted [7, 19]\n"
+        "ok - A2 iterate 1,0: counts [12, 27] vs fitted [12, 27]\n"
+        "ok - A2 iterate 0,1: counts [12, 27] vs fitted [12, 27]\n"
+        "ok - A2 iterate 1,1: counts [12, 18] vs fitted [12, 18]\n"
+        "suite iterate on A2: PASS\n"
+    ),
+    "tables": (
+        "ok - A2 sym 0,0: 3*k^2 + 3*k + 1\n"
+        "ok - A2 sym 0,1: 3*k^2 + 6*k + 3\n"
+        "ok - A2 sym 1,0: 3*k^2 + 6*k + 3\n"
+        "ok - A2 sym 1,1: 6*k + 6\n"
+        "ok - A2 tr -2,1: k + 1\n"
+        "ok - A2 tr -1,-1: 1\n"
+        "ok - A2 tr -1,0: k + 1\n"
+        "ok - A2 tr -1,1: 2*k + 1\n"
+        "ok - A2 tr -1,2: k + 1\n"
+        "ok - A2 tr 0,-1: k + 1\n"
+        "ok - A2 tr 0,0: 3*k^2 + 3*k + 1\n"
+        "ok - A2 tr 0,1: 3*k^2 + 3*k + 1\n"
+        "ok - A2 tr 1,-2: k + 1\n"
+        "ok - A2 tr 1,-1: 2*k + 1\n"
+        "ok - A2 tr 1,0: 3*k^2 + 3*k + 1\n"
+        "ok - A2 tr 1,1: 2*k + 1\n"
+        "ok - A2 tr 2,-1: k + 1\n"
+        "suite tables on A2: PASS\n"
+    ),
+    "conjectures": (
+        "note - A2 sym 0,0: 3*k^2 + 3*k + 1 integer=True nonnegative=True\n"
+        "note - A2 sym 0,1: 3*k^2 + 6*k + 3 integer=True nonnegative=True\n"
+        "note - A2 sym 1,0: 3*k^2 + 6*k + 3 integer=True nonnegative=True\n"
+        "note - A2 sym 1,1: 6*k + 6 integer=True nonnegative=True\n"
+        "note - A2 tr -2,1: k + 1 integer=True nonnegative=True constant=1\n"
+        "note - A2 tr -1,-1: 1 integer=True nonnegative=True constant=1\n"
+        "note - A2 tr -1,0: k + 1 integer=True nonnegative=True constant=1\n"
+        "note - A2 tr -1,1: 2*k + 1 integer=True nonnegative=True constant=1\n"
+        "note - A2 tr -1,2: k + 1 integer=True nonnegative=True constant=1\n"
+        "note - A2 tr 0,-1: k + 1 integer=True nonnegative=True constant=1\n"
+        "note - A2 tr 0,0: 3*k^2 + 3*k + 1 integer=True nonnegative=True constant=1\n"
+        "note - A2 tr 0,1: 3*k^2 + 3*k + 1 integer=True nonnegative=True constant=1\n"
+        "note - A2 tr 1,-2: k + 1 integer=True nonnegative=True constant=1\n"
+        "note - A2 tr 1,-1: 2*k + 1 integer=True nonnegative=True constant=1\n"
+        "note - A2 tr 1,0: 3*k^2 + 3*k + 1 integer=True nonnegative=True constant=1\n"
+        "note - A2 tr 1,1: 2*k + 1 integer=True nonnegative=True constant=1\n"
+        "note - A2 tr 2,-1: k + 1 integer=True nonnegative=True constant=1\n"
+        "note - A2 tr k=1 fiber of 0,0 under C[1]: respects the affine symmetry\n"
+        "note - A2 tr k=1 fiber of 0,0 under C[2]: respects the affine symmetry\n"
+        "note - A2 tr k=1 fiber of 0,1 under C[1]: respects the affine symmetry\n"
+        "note - A2 tr k=1 fiber of 0,1 under C[2]: respects the affine symmetry\n"
+        "note - A2 tr k=1 fiber of 1,0 under C[1]: respects the affine symmetry\n"
+        "note - A2 tr k=1 fiber of 1,0 under C[2]: respects the affine symmetry\n"
+        "note - A2 tr k=1 fiber of 1,1 under C[1]: respects the affine symmetry\n"
+        "note - A2 tr k=1 fiber of 1,1 under C[2]: respects the affine symmetry\n"
+        "ok - A2 scanned 4 sym and 13 tr rows\n"
+        "suite conjectures on A2: PASS\n"
+    ),
+}
+
+
 @pytest.mark.parametrize("suite", sorted(SUITE_ARGS))
 def test_every_suite_passes_on_a2(capsys, suite):
     code, out, _ = run(capsys, "verify", suite, "A2", *SUITE_ARGS[suite])
     assert code == 0, out
-    assert out.rstrip().endswith("PASS")
+    assert out == A2_OUTPUT[suite]
+
+
+def _escape_at_k1(real):
+    # one extra out-edge far outside every permutohedron, for k = 1 only
+    def neighbors(rs, weight, params, direction="out"):
+        extra = [((99,) * rs.rank, 0)] if params.k_short == 1 else []
+        return real(rs, weight, params, direction) + extra
+
+    return neighbors
+
+
+# suite -> (module, function, stub built from the real function, lines it must print)
+FAILING_CHECKS = {
+    "confluence": (
+        fi, "check_confluence_random", lambda real: lambda *a: False,
+        ["FAIL - A2 sym k=(0,0) box 2: 25 weights x 5 orders, 25 disagreements"],
+    ),
+    "sinks": (
+        fi, "is_sink", lambda real: lambda *a: not real(*a),
+        ["FAIL - A2 sym k=(0,0) sinks: 17 found, 32 expected from labels"],
+    ),
+    "traverse": (
+        pt, "traverse_formula", lambda real: lambda *a: real(*a) + 1,
+        ["FAIL - A2 traverse: 27 cases, 27 mismatches"],
+    ),
+    # only k = 1 escapes: its summary is FAIL, the summary of k = 0 stays ok
+    "nonescape": (
+        fi, "neighbors", _escape_at_k1,
+        [
+            "ok - A2 sym k=(0,0) non-escaping on 4 permutohedra",
+            "FAIL - A2 sym k=(1,1) non-escaping on 4 permutohedra",
+        ],
+    ),
+    "symmetry": (
+        fi, "graph_symmetry_check",
+        lambda real: lambda *a: dataclasses.replace(real(*a), violations=("stub",)),
+        ["FAIL - A2 sym k=(0,0): 2 maps on 12 edges, 1 violations"],
+    ),
+    "decompose": (
+        eh, "decomposition_check",
+        lambda real: lambda *a: dataclasses.replace(real(*a), sym_failures=((0, 0),)),
+        ["FAIL - A2 k=1 decomposition on 49 weights: 1 sym fails, 0 tr fails"],
+    ),
+    "iterate": (
+        eh, "iterate_check",
+        lambda real: lambda *a: dataclasses.replace(real(*a), fitted=(0, 0)),
+        ["FAIL - A2 iterate 0,0: counts [7, 19] vs fitted [0, 0]"],
+    ),
+    "tables": (
+        eh, "reference_poly",
+        lambda real: lambda table, n, label: eh.LatticePolynomial.from_dict(n, {}),
+        ["FAIL - A2 sym 0,0: 3*k^2 + 3*k + 1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(FAILING_CHECKS))
+def test_each_suite_fails_on_a_failed_check(capsys, monkeypatch, suite):
+    module, name, stub, expected = FAILING_CHECKS[suite]
+    monkeypatch.setattr(module, name, stub(getattr(module, name)))
+    code, out, _ = run(capsys, "verify", suite, "A2", *SUITE_ARGS[suite])
+    lines = out.splitlines()
+    assert code == 2, out
+    assert set(expected) <= set(lines), out
+    assert lines[-1] == f"suite {suite} on A2: FAIL"
+
+
+def test_conjectures_never_fail(capsys, monkeypatch):
+    # a fit that is neither integer nor nonnegative, and a broken symmetry,
+    # are findings: note rows, never a failed suite
+    real_fit = eh.fit_ehrhart_like
+    odd = eh.LatticePolynomial.from_dict(1, {(1,): Fraction(-1, 2)})
+    monkeypatch.setattr(
+        eh, "fit_ehrhart_like",
+        lambda *a: dataclasses.replace(real_fit(*a), polynomial=odd),
+    )
+    monkeypatch.setattr(
+        eh, "tr_symmetry_scan", lambda rs, labels, params: (((0, 0), 1, False),)
+    )
+    code, out, _ = run(capsys, "verify", "conjectures", "A2")
+    assert code == 0, out
+    assert "note - A2 sym 0,0: -1/2*k integer=False nonnegative=False" in out
+    assert "breaks the affine symmetry" in out
+    assert "FAIL" not in out and out.endswith("suite conjectures on A2: PASS\n")
+
+
+def _readme_cli_examples():
+    """(argv, trailing comment) for each ``rootfire`` line of the README's CLI block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    out = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = command.split()
+        if argv[:1] == ["rootfire"]:
+            out.append((argv[1:], comment.strip()))
+    return out
+
+
+def test_readme_cli_examples_run(tmp_path):
+    results = {}
+    for i, (argv, comment) in enumerate(_readme_cli_examples()):
+        if "--out" in argv:
+            at = argv.index("--out")
+            argv = argv[:at] + argv[at + 2:]
+        target = tmp_path / f"example{i}.out"
+        assert main(argv + ["--out", str(target)]) == 0, argv
+        results[tuple(argv)] = (target.read_text(), comment)
+    # the README's comment on this line states its result
+    text, comment = results[("stabilize", "A2", "sym", "1", "0,0")]
+    assert text.split() == comment.split() == ["sink", "1,1", "label", "0,0", "steps", "2"]

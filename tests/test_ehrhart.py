@@ -17,7 +17,7 @@ from rootfire.ehrhart import (
     perm_ehrhart,
     reference_poly,
 )
-from rootfire.errors import DomainError
+from rootfire.errors import DomainError, FitInconsistentError
 from rootfire.firing import FiringParams, coord_box, fiber
 from rootfire.rootsys import from_spec
 
@@ -60,6 +60,9 @@ def test_fit_examples():
         fit_ehrhart_like(a2, (1, 1), "sym", degree_bound=-1)
     with pytest.raises(DomainError):
         perm_ehrhart(a2, (0, 0), degree_bound=-1)
+    # a bound below the true degree (2 here) is a failed fit, not a refit at 2
+    with pytest.raises(FitInconsistentError):
+        perm_ehrhart(a2, (0, 0), degree_bound=1)
 
 
 def test_fit_kind_aliases():

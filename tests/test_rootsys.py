@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from rootfire import errors
 from rootfire.rootsys import (
     apply_word,
-    apply_word_to_root,
     dominant_rep,
     from_spec,
     minuscule_weights,
@@ -19,9 +18,27 @@ from rootfire.rootsys import (
     reflect_simple,
     root_order_leq,
     subgroup_C,
-    support_sets,
     weyl_orbit,
 )
+
+
+def apply_word_to_root(rs, word, root):
+    """Apply a Weyl word to a vector in simple-root coordinates."""
+    v = list(root)
+    for idx in word:
+        j = idx - 1
+        c = sum(v[i] * rs.cartan[i][j] for i in range(rs.rank))
+        v[j] -= c
+    return tuple(v)
+
+
+def support_sets(rs, weight):
+    """1-based node sets where the dominant representative is 0 / in {0,1}."""
+    dom, _ = dominant_rep(rs, weight)
+    i0 = tuple(j + 1 for j, c in enumerate(dom) if c == 0)
+    i01 = tuple(j + 1 for j, c in enumerate(dom) if c in (0, 1))
+    return i0, i01
+
 
 # |pos roots| = n*h/2, f = |det cartan|
 CLASSIFICATION = {
