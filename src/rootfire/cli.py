@@ -384,7 +384,7 @@ def _suite_symmetry(rs, args):
 
 
 def _suite_decompose(rs, args):
-    for k in range(1, args.k_max + 1):
+    for k in range(args.k_max + 1):
         params = fi.FiringParams.make("sym", k, k)
         rep = eh.decomposition_check(rs, fi.coord_box(rs, args.box), params)
         extra = "" if rep.tr_asserted else " (truncated identity reported only)"

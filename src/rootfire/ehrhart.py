@@ -359,7 +359,7 @@ def iterate_check(rs: RootSystem, label: Weight, k_max: int) -> IterateReport:
     for _ in range(k_max):
         nxt: set[Weight] = set()
         for mu in sorted(current):
-            pre = fiber(rs, mu, params1, check=False)
+            pre = fiber(rs, mu, params1)
             if nxt & set(pre):
                 raise FitInconsistentError("unit-step fibers are not disjoint")
             nxt.update(pre)

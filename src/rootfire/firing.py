@@ -215,11 +215,12 @@ def stabilize_trace(
     a seed fires roots in a seeded-random order.  The step budget is a
     crude quadratic-potential bound; exceeding it signals a bug.
     """
-    return _stabilizer(rs, weight, params)(seed)
+    final, steps = _stabilizer(rs, weight, params)(seed)
+    return tuple(final[i] for i in rs.simple_positions), steps
 
 
 def _stabilizer(rs: RootSystem, weight: Weight, params: FiringParams):
-    """The kernel bound to one weight: a function from a seed to (sink, steps).
+    """The kernel bound to one weight: seed -> (final pairing vector, steps).
 
     The initial pairings and the step budget depend only on the weight
     and the parameters, so repeated firing orders share them.
@@ -230,10 +231,7 @@ def _stabilizer(rs: RootSystem, weight: Weight, params: FiringParams):
     pair = kernel.pairings(rs.pos_coroots, weight)
     reach = max(map(abs, pair), default=0)
     budget = 4 * len(pair) * (reach + params.k_max() + 2) ** 2
-    coords = tuple(weight)
-    return lambda seed: kernel.stabilize(
-        coords, pair, rs.pos_root_weights, rs.pos_gram, lo, hi, budget, seed
-    )
+    return lambda seed: kernel.stabilize(pair, rs.pos_gram, lo, hi, budget, seed)
 
 
 def stabilize(
@@ -249,10 +247,9 @@ def stabilization_label(
     rs: RootSystem,
     weight: Weight,
     params: FiringParams,
-    force: bool = False,
 ) -> Weight:
     """Label of the sink this weight stabilizes to (eta preimage of the sink)."""
-    require_good(rs, params, force)
+    require_good(rs, params)
     sink = stabilize(rs, weight, params)
     lab = eta_inverse(rs, sink, params)
     if lab is None:
@@ -269,7 +266,11 @@ def check_confluence_random(
     trials: int,
     seed: int,
 ) -> bool:
-    """Whether ``trials`` independent random firing orders agree."""
+    """Whether ``trials`` independent random firing orders agree.
+
+    Final pairing vectors are compared directly: they are equal exactly
+    when the sinks are.
+    """
     if trials < 2:
         raise PreconditionError("need at least two trials")
     run = _stabilizer(rs, weight, params)
@@ -325,21 +326,20 @@ def fiber(
     label: Weight,
     params: FiringParams,
     force: bool = False,
-    check: bool = True,
 ) -> tuple[Weight, ...]:
     """All weights whose stabilization label is ``label``.
 
     Empty for symmetric labels that pair to -1 with some positive root
     (those never label a sink).  Otherwise the component of the labeled
-    sink; with ``check`` every member is re-stabilized as a confluence
-    cross-check.
+    sink; for good parameters every member is re-stabilized as a
+    confluence cross-check.
     """
     good = require_good(rs, params, force)
     if params.kind == "symmetric" and not sym_sink_labels_valid(rs, label):
         return ()
     sink = eta(rs, label, params)
     comp = component(rs, sink, params, force=force)
-    if check and good:
+    if good:
         for v in comp:
             if stabilize(rs, v, params) != sink:
                 raise InvariantViolationError(

@@ -1,11 +1,13 @@
 """The stabilization hot loops, in exact integer Python.
 
-Coordinates are Python ints, so every pairing and firing step is exact
-at any magnitude.  ``stabilize`` keeps the vector of coroot pairings and,
-per firing, adds one precomputed row of the root system's pairing matrix
-(``RootSystem.pos_gram``) to it; the sink is assembled once at the end
-from the per-root firing counts.  The seeded-random firing order draws
-from splitmix64, so a given seed fires the same roots on every platform.
+Weights and pairings are Python ints, so every pairing and firing step
+is exact at any magnitude.  ``stabilize`` works on the vector of coroot pairings
+alone: a firing move reads only pairings, and firing root i adds row i of
+the root system's pairing matrix (``RootSystem.pos_gram``) to the vector.
+A weight's coordinates are its pairings with the simple coroots, so the
+caller reads the sink off the final vector.  The seeded-random firing
+order draws from splitmix64, so a given seed fires the same roots on
+every platform.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ def pairings(coroots, coords):
     return [sum(map(mul, row, coords)) for row in coroots]
 
 
-def stabilize(coords, pair, root_weights, gram, lo, hi, budget, seed=None):
-    """Fire until stable; returns (sink coordinates, number of steps).
+def stabilize(pair, gram, lo, hi, budget, seed=None):
+    """Fire until stable; returns (final pairing vector, number of steps).
 
-    ``pair`` is ``pairings(coroots, coords)``; firing root i adds
+    ``pair`` is ``pairings(coroots, weight)``; firing root i adds
     ``gram[i]`` to it.  ``lo``/``hi`` are the per-root closed
     fireability bounds on the coroot pairing.  ``seed=None`` selects the
     first fireable root in positive-root order; otherwise roots are
@@ -44,7 +46,6 @@ def stabilize(coords, pair, root_weights, gram, lo, hi, budget, seed=None):
     """
     p = list(pair)
     m = len(p)
-    fired = [0] * m
     steps = 0
     state = 0 if seed is None else seed & _MASK
     while True:
@@ -64,14 +65,9 @@ def stabilize(coords, pair, root_weights, gram, lo, hi, budget, seed=None):
         if chosen < 0:
             break
         p = list(map(add, p, gram[chosen]))
-        fired[chosen] += 1
         steps += 1
         if steps > budget:
             raise StepBudgetError(
                 f"stabilization exceeded its step budget of {budget}"
             )
-    sink = list(coords)
-    for n, row in zip(fired, root_weights):
-        if n:
-            sink = [x + n * r for x, r in zip(sink, row)]
-    return tuple(sink), steps
+    return tuple(p), steps

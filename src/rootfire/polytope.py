@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import json
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
+from operator import add, mul
 
 from .errors import (
     DomainError,
@@ -22,7 +22,6 @@ from .rootsys import (
     Weight,
     dominant_rep,
     is_dominant,
-    pairing,
     require_dominant,
     root_order_leq,
     weyl_orbit,
@@ -82,32 +81,21 @@ def scoped_cap(cap: int | None):
 
 @dataclass(frozen=True)
 class DiscretePermutohedron:
-    """Lattice points of a Weyl-orbit hull within the center's coset."""
+    """Lattice points of a Weyl-orbit hull within the center's coset.
+
+    ``points`` is sorted; ``point_set`` holds the same points for
+    membership tests.
+    """
 
     center: Weight
     points: tuple[Weight, ...]
+    point_set: frozenset[Weight] = field(compare=False, repr=False)
 
     def __contains__(self, weight) -> bool:
-        return tuple(weight) in self._point_set
+        return tuple(weight) in self.point_set
 
     def __len__(self) -> int:
         return len(self.points)
-
-    @property
-    def _point_set(self) -> frozenset:
-        pts = self.__dict__.get("_pts")
-        if pts is None:
-            pts = frozenset(self.points)
-            object.__setattr__(self, "_pts", pts)
-        return pts
-
-    def to_json(self, system: str) -> str:
-        obj = {
-            "system": system,
-            "center": list(self.center),
-            "vertices": [list(v) for v in self.points],
-        }
-        return json.dumps(obj, indent=2, sort_keys=True)
 
 
 def perm_contains(rs: RootSystem, lam_dom: Weight, mu: Weight) -> bool:
@@ -158,7 +146,9 @@ def _enumerate_perm_cached(
             raise ResourceCapError(
                 f"permutohedron of {lam_dom} exceeds the cap of {cap} points"
             )
-    return DiscretePermutohedron(center=tuple(lam_dom), points=tuple(sorted(points)))
+    return DiscretePermutohedron(
+        center=tuple(lam_dom), points=tuple(sorted(points)), point_set=frozenset(points)
+    )
 
 
 def traverse_bruteforce(rs: RootSystem, lam_dom: Weight, alpha: RootVec) -> int:
@@ -172,12 +162,15 @@ def traverse_bruteforce(rs: RootSystem, lam_dom: Weight, alpha: RootVec) -> int:
     if all(x <= 0 for x in alpha):
         alpha = tuple(-x for x in alpha)
     perm = enumerate_perm(rs, lam_dom)
-    step = rs.pos_root_weights[rs.root_index(alpha)]
+    idx = rs.root_index(alpha)
+    step = rs.pos_root_weights[idx]
+    coroot = rs.pos_coroots[idx]
+    members = perm.point_set
     best = None
     for mu in perm.points:
-        if tuple(a + b for a, b in zip(mu, step)) in perm:
+        if tuple(map(add, mu, step)) in members:
             continue
-        val = pairing(rs, mu, alpha)
+        val = sum(map(mul, coroot, mu))
         if best is None or val < best:
             best = val
     if best is None or best < 0:

@@ -159,6 +159,9 @@ class RootSystem:
     pos_coroots : integer rows r with ``pairing(v, alpha) = r . v``.
     pos_gram : ``pos_gram[i][j]`` is the pairing of root i with coroot j;
         row i is what firing root i adds to a weight's pairing vector.
+    simple_positions : ``simple_positions[i]`` is the index in ``pos_roots``
+        of the (i+1)-th simple root.  A weight's pairing vector holds its
+        coordinates at these positions.
     root_d : per-root half squared length; ``length_class`` tags long/short.
     highest_root, highest_short_root : indices into ``pos_roots``.
     coxeter_number, index_of_connection : the invariants h and f.
@@ -176,6 +179,9 @@ class RootSystem:
 
         self.pos_roots = self._generate_pos_roots()
         self._root_index = {r: i for i, r in enumerate(self.pos_roots)}
+        self.simple_positions = tuple(
+            self.root_index(tuple(int(j == i) for j in range(rank))) for i in range(rank)
+        )
         self.pos_root_weights = tuple(
             tuple(sum(a * self.cartan[i][j] for i, a in enumerate(r)) for j in range(rank))
             for r in self.pos_roots

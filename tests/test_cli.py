@@ -315,6 +315,7 @@ A2_OUTPUT = {
         "suite symmetry on A2: PASS\n"
     ),
     "decompose": (
+        "ok - A2 k=0 decomposition on 49 weights: 0 sym fails, 0 tr fails\n"
         "ok - A2 k=1 decomposition on 49 weights: 0 sym fails, 0 tr fails\n"
         "suite decompose on A2: PASS\n"
     ),
@@ -382,6 +383,14 @@ def test_every_suite_passes_on_a2(capsys, suite):
     code, out, _ = run(capsys, "verify", suite, "A2", *SUITE_ARGS[suite])
     assert code == 0, out
     assert out == A2_OUTPUT[suite]
+
+
+def test_decompose_checks_k_zero(capsys):
+    code, out, _ = run(capsys, "verify", "decompose", "A2", "--k", "0", "--box", "3")
+    assert code == 0, out
+    assert [line for line in out.splitlines() if line.startswith("ok - ")] == [
+        "ok - A2 k=0 decomposition on 49 weights: 0 sym fails, 0 tr fails"
+    ]
 
 
 def _escape_at_k1(real):

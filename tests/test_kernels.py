@@ -22,16 +22,11 @@ def test_splitmix64_matches_published_stream():
 
 
 def _stabilize(rs, v, lo, hi, budget, seed=None):
-    return kernel.stabilize(
-        v,
-        kernel.pairings(rs.pos_coroots, v),
-        rs.pos_root_weights,
-        rs.pos_gram,
-        lo,
-        hi,
-        budget,
-        seed,
+    """The kernel on one weight, with the sink read off the final pairings."""
+    final, steps = kernel.stabilize(
+        kernel.pairings(rs.pos_coroots, v), rs.pos_gram, lo, hi, budget, seed
     )
+    return tuple(final[i] for i in rs.simple_positions), steps
 
 
 def test_exact_at_huge_coordinates():
@@ -130,10 +125,14 @@ def _oracle_params(rs):
 def test_incremental_kernel_matches_recompute_oracle(spec):
     rs = from_spec(spec)
     m = len(rs.pos_roots)
-    # firing root j adds the j-th unit vector: the sink is the firing counts
-    units = tuple(tuple(int(i == j) for i in range(m)) for j in range(m))
+    # firing root j also adds the j-th unit vector to m extra entries that
+    # never fire (lo = 1 > hi = 0): those entries end as the firing counts
+    gram = tuple(
+        row + tuple(int(i == j) for i in range(m)) for j, row in enumerate(rs.pos_gram)
+    )
     for params in _oracle_params(rs):
         lo, hi = _bounds(rs, params)
+        lo_ext, hi_ext = lo + (1,) * m, hi + (0,) * m
         for v in _oracle_weights(rs):
             budget = _reference_budget(rs, v, params)
             for seed in (None, 1, 2, 12345):
@@ -142,10 +141,11 @@ def test_incremental_kernel_matches_recompute_oracle(spec):
                 )
                 case = (params, v, seed)
                 assert stabilize_trace(rs, v, params, seed) == (sink, steps), case
-                pair = _reference_pairings(rs, v)
+                pair = _reference_pairings(rs, v) + [0] * m
+                final = tuple(_reference_pairings(rs, sink)) + fired
                 assert kernel.stabilize(
-                    (0,) * m, pair, units, rs.pos_gram, lo, hi, budget, seed
-                ) == (fired, steps), case
+                    pair, gram, lo_ext, hi_ext, budget, seed
+                ) == (final, steps), case
 
 
 def test_step_budget_error_matches_oracle():

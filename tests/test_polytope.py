@@ -40,6 +40,7 @@ def test_enumerate_perm_agrees_with_membership():
         assert set(perm.points) <= set(box)
         members = {w for w in box if perm_contains(rs, lam, w)}
         assert members == set(perm.points)
+        assert all((w in perm) == perm_contains(rs, lam, w) for w in box)
 
 
 def test_enumerate_perm_is_weyl_stable():
@@ -69,14 +70,11 @@ def test_enumerate_perm_cap():
 
 
 def test_point_set_export():
-    import json
-
     rs = from_spec("A2")
     perm = enumerate_perm(rs, (1, 1))
-    data = json.loads(perm.to_json("A2"))
-    assert data["center"] == [1, 1]
-    assert len(data["vertices"]) == 7
-    assert data["vertices"] == sorted(data["vertices"])
+    assert perm.center == (1, 1)
+    assert len(perm.points) == 7
+    assert list(perm.points) == sorted(perm.points)
 
 
 def test_traverse_examples():

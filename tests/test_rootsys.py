@@ -106,6 +106,11 @@ def test_pos_gram_matches_the_symmetrized_form(spec):
         assert rs.pos_gram[i][i] == 2
         for j in range(m):
             assert rs.pos_gram[i][j] == Fraction(2 * dot[i][j], dot[j][j]), (i, j)
+    # a weight's coordinates are its pairings at the simple-root positions
+    weights = list(product((-1, 2), repeat=n)) + [(2**70,) * n]
+    for w in weights:
+        pair = [sum(x * y for x, y in zip(row, w)) for row in rs.pos_coroots]
+        assert tuple(pair[i] for i in rs.simple_positions) == w
 
 
 @pytest.mark.parametrize("spec", ["Z9", "B1", "C2", "D3", "E9", "F5", "G3", "A0", ""])
