@@ -352,6 +352,9 @@ def iterate_check(rs: RootSystem, label: Weight, k_max: int) -> IterateReport:
     """Check that k-fold unit-step preimages grow like the fitted polynomial."""
     if not rs.simply_laced:
         raise PreconditionError("iterated preimages are only guaranteed single-length")
+    if k_max < 1:
+        # k = 0 would compare two empty lists, which checks nothing
+        raise PreconditionError(f"iterating needs k_max >= 1, got {k_max}")
     fit = fit_ehrhart_like(rs, label, "sym")
     params1 = FiringParams.make("symmetric", 1, 1)
     current = {tuple(label)}

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Literal, NamedTuple
+from operator import add, mul, sub
+from typing import AbstractSet, Iterable, Literal, NamedTuple
 
 from . import kernel
 from .errors import (
@@ -208,15 +209,23 @@ def stabilize_trace(
     weight: Weight,
     params: FiringParams,
     seed: int | None = None,
+    stop: AbstractSet[Weight] | None = None,
 ) -> tuple[Weight, int]:
     """Fire until stable; returns (sink, number of firings).
 
     ``seed=None`` fires the first fireable root in positive-root order;
-    a seed fires roots in a seeded-random order.  The step budget is a
-    crude quadratic-potential bound; exceeding it signals a bug.
+    a seed fires roots in a seeded-random order.  With ``stop`` (first
+    fireable order only) firing also ends at the first weight reached
+    that lies in ``stop``, which is then returned in place of the sink.
+    The step budget is a crude quadratic-potential bound; exceeding it
+    signals a bug.
     """
-    final, steps = _stabilizer(rs, weight, params)(seed)
-    return tuple(final[i] for i in rs.simple_positions), steps
+    if stop is not None and seed is not None:
+        raise PreconditionError("a stop set applies only to the first-fireable order")
+    pos = rs.simple_positions
+    at_stop = None if stop is None else (lambda p: tuple(p[i] for i in pos) in stop)
+    final, steps = _stabilizer(rs, weight, params)(seed, at_stop)
+    return tuple(final[i] for i in pos), steps
 
 
 def _stabilizer(rs: RootSystem, weight: Weight, params: FiringParams):
@@ -231,7 +240,9 @@ def _stabilizer(rs: RootSystem, weight: Weight, params: FiringParams):
     pair = kernel.pairings(rs.pos_coroots, weight)
     reach = max(map(abs, pair), default=0)
     budget = 4 * len(pair) * (reach + params.k_max() + 2) ** 2
-    return lambda seed: kernel.stabilize(pair, rs.pos_gram, lo, hi, budget, seed)
+    return lambda seed, stop=None: kernel.stabilize(
+        pair, rs.pos_gram, lo, hi, budget, seed, stop
+    )
 
 
 def stabilize(
@@ -239,8 +250,9 @@ def stabilize(
     weight: Weight,
     params: FiringParams,
     seed: int | None = None,
+    stop: AbstractSet[Weight] | None = None,
 ) -> Weight:
-    return stabilize_trace(rs, weight, params, seed)[0]
+    return stabilize_trace(rs, weight, params, seed, stop)[0]
 
 
 def stabilization_label(
@@ -289,9 +301,13 @@ def component(
 ) -> tuple[Weight, ...]:
     """Connected component of the firing graph through ``weight``.
 
-    Undirected breadth-first closure.  For good parameters every visited
-    weight is asserted to lie in the bounding permutohedron of the
-    component's sink label; with ``force`` (non-good parameters) the
+    Undirected breadth-first closure.  Each queued weight carries its
+    vector of coroot pairings, computed once at ``weight``: the roots
+    with pairing in bounds give the out-edges, those with pairing - 2 in
+    bounds the in-edges, and a new neighbor's vector is the current one
+    plus or minus a row of ``rs.pos_gram``.  For good parameters every
+    visited weight is asserted to lie in the bounding permutohedron of
+    the component's sink label; with ``force`` (non-good parameters) the
     assertion is skipped and only the point cap limits the search.
     """
     good = require_good(rs, params, force)
@@ -301,19 +317,26 @@ def component(
         lab_dom, _ = dominant_rep(rs, lab)
         center = eta(rs, lab_dom, params)
     cap = point_cap()
+    lo, hi = _bounds(rs, params)
+    roots, gram = rs.pos_root_weights, rs.pos_gram
     start = tuple(weight)
     seen = {start}
-    queue = deque([start])
+    queue = deque([(start, kernel.pairings(rs.pos_coroots, start))])
     while queue:
-        v = queue.popleft()
+        v, p = queue.popleft()
         if center is not None and not perm_contains(rs, center, v):
             raise InvariantViolationError(
                 f"component of {weight} escapes its bounding permutohedron at {v}"
             )
-        for w, _ in neighbors(rs, v, params, "both"):
+        # out-edges, then in-edges, as neighbors(..., "both") lists them
+        edges = [(j, add) for j, pj in enumerate(p) if lo[j] <= pj <= hi[j]]
+        edges += [(j, sub) for j, pj in enumerate(p) if lo[j] <= pj - 2 <= hi[j]]
+        for j, op in edges:
+            w = tuple(map(op, v, roots[j]))
             if w not in seen:
                 seen.add(w)
-                queue.append(w)
+                # a list: tuple vectors here measured ~3% more peak RSS on fits
+                queue.append((w, list(map(op, p, gram[j]))))
                 if len(seen) > cap:
                     raise ResourceCapError(
                         f"component of {weight} exceeds the cap of {cap} points"
@@ -331,8 +354,14 @@ def fiber(
 
     Empty for symmetric labels that pair to -1 with some positive root
     (those never label a sink).  Otherwise the component of the labeled
-    sink; for good parameters every member is re-stabilized as a
-    confluence cross-check.
+    sink.  For good parameters every member is re-stabilized in
+    first-fireable order as a confluence cross-check, and must end at
+    the sink.  Each firing raises the height <v, 2 rho^vee> strictly, so
+    the members are visited from the highest down, and a member's run
+    stops at the first weight already verified: that weight's own run
+    ends at the sink, so the member's does too.  This proves exactly
+    what re-stabilizing every member to the end would, and each member
+    fires at most once.
     """
     good = require_good(rs, params, force)
     if params.kind == "symmetric" and not sym_sink_labels_valid(rs, label):
@@ -340,11 +369,14 @@ def fiber(
     sink = eta(rs, label, params)
     comp = component(rs, sink, params, force=force)
     if good:
-        for v in comp:
-            if stabilize(rs, v, params) != sink:
+        rho2 = [sum(col) for col in zip(*rs.pos_coroots)]
+        reached = {sink}
+        for v in sorted(comp, key=lambda v: sum(map(mul, v, rho2)), reverse=True):
+            if stabilize(rs, v, params, stop=reached) not in reached:
                 raise InvariantViolationError(
                     f"{v} is connected to sink {sink} but stabilizes elsewhere"
                 )
+            reached.add(v)
     return comp
 
 

@@ -7,7 +7,8 @@ the root system's pairing matrix (``RootSystem.pos_gram``) to the vector.
 A weight's coordinates are its pairings with the simple coroots, so the
 caller reads the sink off the final vector.  The seeded-random firing
 order draws from splitmix64, so a given seed fires the same roots on
-every platform.
+every platform.  The first-fireable order can also stop early, at the
+first vector a caller's ``stop`` predicate accepts.
 """
 
 from __future__ import annotations
@@ -35,39 +36,46 @@ def pairings(coroots, coords):
     return [sum(map(mul, row, coords)) for row in coroots]
 
 
-def stabilize(pair, gram, lo, hi, budget, seed=None):
+def stabilize(pair, gram, lo, hi, budget, seed=None, stop=None):
     """Fire until stable; returns (final pairing vector, number of steps).
 
     ``pair`` is ``pairings(coroots, weight)``; firing root i adds
     ``gram[i]`` to it.  ``lo``/``hi`` are the per-root closed
     fireability bounds on the coroot pairing.  ``seed=None`` selects the
     first fireable root in positive-root order; otherwise roots are
-    drawn with splitmix64.
+    drawn with splitmix64.  ``stop``, consulted only in the first-fireable
+    order and only after a firing, ends the run at the first pairing
+    vector it accepts, stable or not.
     """
     p = list(pair)
     m = len(p)
     steps = 0
-    state = 0 if seed is None else seed & _MASK
-    while True:
-        if seed is None:
-            chosen = -1
+    if seed is None:
+        while True:
             for j in range(m):
                 if lo[j] <= p[j] <= hi[j]:
-                    chosen = j
                     break
-        else:
+            else:
+                break
+            p = list(map(add, p, gram[j]))
+            steps += 1
+            if steps > budget:
+                raise _over_budget(budget)
+            if stop is not None and stop(p):
+                break
+    else:
+        state = seed & _MASK
+        while True:
             fireable = [j for j in range(m) if lo[j] <= p[j] <= hi[j]]
             if not fireable:
-                chosen = -1
-            else:
-                state, z = splitmix64_next(state)
-                chosen = fireable[z % len(fireable)]
-        if chosen < 0:
-            break
-        p = list(map(add, p, gram[chosen]))
-        steps += 1
-        if steps > budget:
-            raise StepBudgetError(
-                f"stabilization exceeded its step budget of {budget}"
-            )
+                break
+            state, z = splitmix64_next(state)
+            p = list(map(add, p, gram[fireable[z % len(fireable)]]))
+            steps += 1
+            if steps > budget:
+                raise _over_budget(budget)
     return tuple(p), steps
+
+
+def _over_budget(budget):
+    return StepBudgetError(f"stabilization exceeded its step budget of {budget}")

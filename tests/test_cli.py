@@ -63,6 +63,9 @@ def test_usage_errors_exit_1(capsys):
         assert code == 1 and "PASS" not in out
     code, out, _ = run(capsys, "verify", "traverse", "A2", "--cmax", "-1")
     assert code == 1 and "PASS" not in out
+    # iterate at k = 0 would compare empty count lists
+    code, out, _ = run(capsys, "verify", "iterate", "A2", "--k", "0")
+    assert code == 1 and "PASS" not in out
     assert run(capsys, "ehrhart", "A2", "sym", "0,0", "--degree", "-1")[0] == 1
     # an option the suite does not read is refused, not ignored
     code, out, _ = run(capsys, "verify", "traverse", "A2", "--k", "7")

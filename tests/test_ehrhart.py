@@ -17,7 +17,7 @@ from rootfire.ehrhart import (
     perm_ehrhart,
     reference_poly,
 )
-from rootfire.errors import DomainError, FitInconsistentError
+from rootfire.errors import DomainError, FitInconsistentError, PreconditionError
 from rootfire.firing import FiringParams, coord_box, fiber
 from rootfire.rootsys import from_spec
 
@@ -246,6 +246,9 @@ def test_iterate_check():
     assert rep.passed and rep.counts == (12, 18, 24)
     with pytest.raises(Exception):
         iterate_check(from_spec("B2"), (0, 0), 2)
+    # k_max = 0 would compare two empty count lists
+    with pytest.raises(PreconditionError):
+        iterate_check(a2, (0, 0), 0)
 
 
 def test_conjecture_scan_reports():

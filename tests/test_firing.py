@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootfire import errors
+from rootfire.ehrhart import full_dim_labels
 from rootfire.firing import (
     FiringParams,
     build_graph,
@@ -207,6 +208,59 @@ def test_component_cap():
         component(a2, (0, 0), FiringParams.make("tr", 3))
 
 
+def _neighbor_closure(rs, start, params):
+    """The undirected firing closure of ``start``, built from ``neighbors``."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w, _ in neighbors(rs, stack.pop(), params, "both"):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return tuple(sorted(seen))
+
+
+def _bfs_params(rs):
+    ks = [(k, k) for k in range(3)] + ([] if rs.simply_laced else [(1, 2)])
+    return [FiringParams.make(kind, s, l) for kind in ("sym", "tr") for s, l in ks]
+
+
+@pytest.mark.parametrize("spec", ["A1", "A2", "B2", "G2", "A3", "B3", "C3"])
+def test_component_matches_neighbor_closure(spec):
+    # the BFS on pairing vectors against a closure that recomputes every
+    # vertex's pairings from its coordinates
+    rs = from_spec(spec)
+    for params in _bfs_params(rs):
+        for lam in full_dim_labels(rs, dominant_only=False):
+            start = eta(rs, lam, params)
+            assert component(rs, start, params) == _neighbor_closure(rs, start, params), (
+                params, lam
+            )
+
+
+def test_forced_component_matches_neighbor_closure():
+    b2 = from_spec("B2")
+    bad = FiringParams.make("sym", 0, 1)
+    for lam in full_dim_labels(b2, dominant_only=False):
+        start = eta(b2, lam, bad)
+        assert component(b2, start, bad, force=True) == _neighbor_closure(b2, start, bad)
+
+
+@pytest.mark.parametrize("spec", ["A2", "B2", "G2", "A3"])
+def test_component_cap_is_exact(spec):
+    rs = from_spec(spec)
+    for params in _bfs_params(rs):
+        start = eta(rs, (1,) * rs.rank, params)
+        size = len(component(rs, start, params))
+        if size == 1:  # a cap below 1 is refused on its own
+            continue
+        with scoped_cap(size):
+            assert len(component(rs, start, params)) == size
+        with scoped_cap(size - 1), pytest.raises(errors.ResourceCapError) as exc:
+            component(rs, start, params)
+        assert str(exc.value) == f"component of {start} exceeds the cap of {size - 1} points"
+
+
 def test_fiber_examples():
     a2 = from_spec("A2")
     assert len(fiber(a2, (0, 0), SYM1)) == 7
@@ -214,6 +268,83 @@ def test_fiber_examples():
     assert fiber(a2, (-1, -1), TR2) == (eta(a2, (-1, -1), TR2),)
     with pytest.raises(errors.NonGoodParamsError):
         fiber(from_spec("B2"), (0, 0), FiringParams.make("sym", 0, 1))
+
+
+def _height(rs, v):
+    # <v, 2 rho^vee>: the sum of v's pairings with the positive coroots
+    return sum(sum(r * x for r, x in zip(row, v)) for row in rs.pos_coroots)
+
+
+def test_fiber_visits_members_from_the_highest_down(monkeypatch):
+    import rootfire.firing as fi
+
+    rs = from_spec("A3")
+    real, visits = fi.stabilize, []
+
+    def recording(rs_, v, params, seed=None, stop=None):
+        if stop is not None:  # a member check, not the label's stabilization
+            visits.append(v)
+        return real(rs_, v, params, seed, stop)
+
+    monkeypatch.setattr(fi, "stabilize", recording)
+    fib = fiber(rs, (1, 1, 1), SYM1)
+    assert visits[0] == eta(rs, (1, 1, 1), SYM1)
+    assert sorted(visits) == list(fib)
+    heights = [_height(rs, v) for v in visits]
+    assert heights == sorted(heights, reverse=True)
+
+
+@pytest.mark.parametrize("which", [0, -1])
+def test_fiber_check_catches_a_member_sent_elsewhere(monkeypatch, which):
+    # first visited (the highest, the sink itself) and last visited (lowest)
+    import rootfire.firing as fi
+
+    rs = from_spec("A3")
+    label, params = (1, 1, 1), SYM1
+    order = sorted(fiber(rs, label, params), key=lambda v: _height(rs, v), reverse=True)
+    target, elsewhere = order[which], eta(rs, (0, 0, 0), params)
+    real = fi.stabilize
+
+    def wrong(rs_, v, params_, seed=None, stop=None):
+        if v == target and stop is not None:
+            return elsewhere
+        return real(rs_, v, params_, seed, stop)
+
+    monkeypatch.setattr(fi, "stabilize", wrong)
+    with pytest.raises(errors.InvariantViolationError, match="stabilizes elsewhere"):
+        fiber(rs, label, params)
+
+
+def test_fiber_fires_each_member_once(monkeypatch):
+    # one stabilization per member plus the label's, and one firing per
+    # member other than the sink
+    from rootfire import kernel
+
+    real, steps = kernel.stabilize, []
+
+    def counting(*args):
+        out = real(*args)
+        steps.append(out[1])
+        return out
+
+    monkeypatch.setattr(kernel, "stabilize", counting)
+    fib = fiber(from_spec("A3"), (1, 1, 1), SYM1)
+    assert len(steps) == len(fib) + 1
+    assert sum(steps) == len(fib) - 1
+
+
+def test_stabilize_stops_in_the_stop_set():
+    a2 = from_spec("A2")
+    v = (-2, -1)
+    sink, steps = stabilize_trace(a2, v, TR2)
+    first = neighbors(a2, v, TR2, "out")[0][0]
+    assert steps >= 2
+    # checked only after a firing: the start itself does not stop the run
+    assert stabilize_trace(a2, v, TR2, stop={v}) == (sink, steps)
+    assert stabilize_trace(a2, v, TR2, stop={first, sink}) == (first, 1)
+    assert stabilize(a2, v, TR2, stop=set()) == sink
+    with pytest.raises(errors.PreconditionError):
+        stabilize(a2, v, TR2, seed=1, stop={sink})
 
 
 def test_fiber_members_share_label():
