@@ -7,7 +7,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from operator import add, mul
 
 from .errors import (
@@ -20,11 +20,10 @@ from .rootsys import (
     RootSystem,
     RootVec,
     Weight,
-    dominant_rep,
-    is_dominant,
+    _iter_orbit,
+    dominant,
     require_dominant,
     root_order_leq,
-    weyl_orbit,
 )
 
 DEFAULT_MAX_POINTS = 10**6
@@ -106,7 +105,7 @@ def perm_contains(rs: RootSystem, lam_dom: Weight, mu: Weight) -> bool:
     multiple of a simple root, so this also tests the lattice coset.
     """
     require_dominant(lam_dom)
-    return root_order_leq(rs, dominant_rep(rs, mu)[0], lam_dom)
+    return root_order_leq(rs, dominant(rs, mu), lam_dom)
 
 
 def enumerate_perm(rs: RootSystem, lam_dom: Weight) -> DiscretePermutohedron:
@@ -114,8 +113,10 @@ def enumerate_perm(rs: RootSystem, lam_dom: Weight) -> DiscretePermutohedron:
 
     Enumerates the dominant slice (differences of simple roots within the
     root-coordinate box of the center) and expands each slice point by its
-    Weyl orbit.  Results are cached per (system, center, cap); traverse
-    scans hit the same center once per root.
+    Weyl orbit.  Orbits are walked lazily, so the point cap is enforced as
+    soon as it is passed, not after a whole orbit is built.  Results are
+    cached per (system, center, cap); traverse scans hit the same center
+    once per root.
     """
     require_dominant(lam_dom)
     return _enumerate_perm_cached(rs, tuple(lam_dom), point_cap())
@@ -133,15 +134,15 @@ def _enumerate_perm_cached(
     # b / f loses nothing
     f = rs.index_of_connection
     ranges = [range(b // f + 1) for b in bounds]
+    columns = tuple(zip(*rs.cartan))
     points: set[Weight] = set()
     for a in product(*ranges):
-        nu = tuple(
-            c - sum(a[i] * rs.cartan[i][j] for i in range(rs.rank))
-            for j, c in enumerate(lam_dom)
-        )
-        if not is_dominant(nu):
+        nu = tuple([c - sum(map(mul, a, col)) for c, col in zip(lam_dom, columns)])
+        if min(nu) < 0:
             continue
-        points.update(weyl_orbit(rs, nu))
+        # orbits of distinct dominant weights are disjoint, so taking one
+        # point past the room left is enough to pass the cap
+        points.update(islice(_iter_orbit(rs, nu), cap + 1 - len(points)))
         if len(points) > cap:
             raise ResourceCapError(
                 f"permutohedron of {lam_dom} exceeds the cap of {cap} points"

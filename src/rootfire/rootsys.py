@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import mul, sub
 
 from .errors import (
     ClassificationError,
@@ -152,6 +152,9 @@ class RootSystem:
     ----------
     type_letter, rank : classification data ("A".."G", positive int).
     cartan : Cartan matrix as a tuple of integer row tuples.
+    dynkin_links : ``dynkin_links[i]`` holds the pairs ``(k, cartan[i][k])``
+        for the Dynkin neighbours k of node i; the i-th simple reflection
+        changes coordinate i and these coordinates only.
     symmetrizer : per-node half squared lengths d_i, normalized min 1.
     pos_roots : positive roots in simple-root coordinates, sorted by
         (height, lexicographic).
@@ -172,6 +175,10 @@ class RootSystem:
         self.type_letter = type_letter
         self.rank = rank
         self.cartan = _cartan_matrix(type_letter, rank)
+        self.dynkin_links = tuple(
+            tuple((k, a) for k, a in enumerate(row) if a and k != i)
+            for i, row in enumerate(self.cartan)
+        )
         self.symmetrizer = _symmetrizer(self.cartan)
         self.index_of_connection, self._scaled_inv_t = _scaled_inverse_transpose(
             self.cartan
@@ -302,10 +309,7 @@ class RootSystem:
 
         Integers for an integer weight; ``f = index_of_connection``.
         """
-        inv = self._scaled_inv_t
-        return tuple(
-            sum(inv[i][j] * weight[j] for j in range(self.rank)) for i in range(self.rank)
-        )
+        return tuple([sum(map(mul, row, weight)) for row in self._scaled_inv_t])
 
     def quad_norm(self, weight) -> Fraction:
         """Squared length of a weight-coordinate vector (symmetrized form).
@@ -367,24 +371,52 @@ def apply_word(rs: RootSystem, word: WeylWord, weight):
     return v
 
 
+def _to_dominant(rs: RootSystem, v: list, word: list | None) -> None:
+    """Reflect ``v`` in place at its first negative coordinate until dominant.
+
+    Appends each reflected node (1-based) to ``word`` unless it is None.
+    """
+    links = rs.dynkin_links
+    limit = len(rs.pos_roots) + 1
+    steps = 0
+    while True:
+        for j, c in enumerate(v):
+            if c < 0:
+                break
+        else:
+            return
+        v[j] = -c
+        for k, a in links[j]:
+            v[k] -= c * a
+        if word is not None:
+            word.append(j + 1)
+        steps += 1
+        if steps > limit:
+            raise InvariantViolationError("dominant_rep failed to terminate")
+
+
 def dominant_rep(rs: RootSystem, weight: Weight) -> tuple[Weight, WeylWord]:
     """Dominant representative and the minimal word carrying it back.
 
-    Returns ``(dom, w)`` with ``apply_word(rs, w, dom) == weight``.  The
-    word is built greedily: reflect at the smallest negative coordinate
-    until dominant.  Minimality is pinned by the inversion-count tests.
+    Returns ``(dom, w)``: ``dom`` is the unique dominant weight in the
+    Weyl orbit of ``weight``, and ``apply_word(rs, w, dom) == weight``.
+    The word is built greedily: reflect at the smallest negative
+    coordinate until dominant, then reverse the reflected nodes.  It is
+    reduced (its length is the number of positive roots pairing
+    negatively with ``weight``); minimality is pinned by the
+    inversion-count tests.
     """
-    v = tuple(weight)
+    v = list(weight)
     recorded: list[int] = []
-    cap = len(rs.pos_roots) + 1
-    while True:
-        neg = next((j for j, c in enumerate(v) if c < 0), None)
-        if neg is None:
-            return v, tuple(reversed(recorded))
-        v = reflect_simple(rs, neg + 1, v)
-        recorded.append(neg + 1)
-        if len(recorded) > cap:
-            raise InvariantViolationError("dominant_rep failed to terminate")
+    _to_dominant(rs, v, recorded)
+    return tuple(v), tuple(reversed(recorded))
+
+
+def dominant(rs: RootSystem, weight: Weight) -> Weight:
+    """The dominant weight of ``dominant_rep``, without recording the word."""
+    v = list(weight)
+    _to_dominant(rs, v, None)
+    return tuple(v)
 
 
 def is_dominant(weight: Weight) -> bool:
@@ -399,7 +431,7 @@ def require_dominant(weight: Weight) -> None:
 
 def root_order_leq(rs: RootSystem, mu: Weight, lam: Weight) -> bool:
     """Whether ``lam - mu`` is a nonnegative integer sum of simple roots."""
-    diff = tuple(a - b for a, b in zip(lam, mu))
+    diff = tuple(map(sub, lam, mu))
     f = rs.index_of_connection
     return all(x >= 0 and x % f == 0 for x in rs.root_coords(diff))
 
@@ -408,19 +440,43 @@ def root_order_leq_root(rs: RootSystem, r1: RootVec, r2: RootVec) -> bool:
     return all(b - a >= 0 for a, b in zip(r1, r2))
 
 
+def _iter_orbit(rs: RootSystem, weight: Weight):
+    """Yield each point of the Weyl orbit of ``weight`` once, unsorted.
+
+    The orbit is walked as a tree rooted at its dominant point.  The parent
+    of a non-dominant ``w`` is ``s_j w`` for the first negative coordinate
+    j of ``w`` (one step of ``dominant_rep``'s greedy rule), so the
+    children of ``v`` are the ``s_i v`` with ``v_i > 0`` whose coordinates
+    before i are all nonnegative.  Every point has exactly one parent, so
+    no point is produced twice and no seen-set is kept.
+    """
+    links = rs.dynkin_links
+    n = rs.rank
+    # (point, index of its first negative coordinate, n if dominant)
+    stack = [(dominant(rs, weight), n)]
+    while stack:
+        v, first = stack.pop()
+        yield v
+        for i in range(n):
+            c = v[i]
+            if c > 0:
+                w = list(v)
+                w[i] = -c
+                for k, a in links[i]:
+                    w[k] -= c * a
+                # s_i with v_i > 0 raises or keeps every coordinate but i,
+                # so those before ``first`` stay nonnegative
+                if i < first or min(w[first:i]) >= 0:
+                    stack.append((tuple(w), i))
+
+
 def weyl_orbit(rs: RootSystem, weight: Weight) -> tuple[Weight, ...]:
-    """The full Weyl orbit, as a tuple sorted by coordinates."""
-    start = tuple(weight)
-    seen = {start}
-    queue = [start]
-    while queue:
-        v = queue.pop()
-        for i in range(1, rs.rank + 1):
-            w = reflect_simple(rs, i, v)
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return tuple(sorted(seen))
+    """The full Weyl orbit, as a tuple sorted by coordinates.
+
+    Walks the tree whose parent map reflects at the first negative
+    coordinate (see ``_iter_orbit``), so each point is built once.
+    """
+    return tuple(sorted(_iter_orbit(rs, weight)))
 
 
 def minuscule_weights(rs: RootSystem) -> tuple[Weight, ...]:

@@ -1,11 +1,13 @@
 """Discrete permutohedra, traverse lengths, and funny weights."""
 
+import tracemalloc
 from itertools import product
 
 import pytest
 
-from rootfire import errors
+from rootfire import errors, polytope
 from rootfire.polytope import (
+    DiscretePermutohedron,
     enumerate_perm,
     is_funny,
     perm_contains,
@@ -69,6 +71,43 @@ def test_enumerate_perm_cap():
             enumerate_perm(rs, (1, 1))
 
 
+def test_enumerate_perm_cap_holds_before_the_orbit_is_built():
+    # the orbit of rho on E6 has 51840 points; a cap of 100 must refuse it
+    # after about a hundred of them, not after building the whole orbit
+    rs = from_spec("E6")
+    tracemalloc.start()
+    try:
+        with pytest.raises(errors.ResourceCapError), scoped_cap(100):
+            enumerate_perm(rs, (1,) * 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
+# point tuples recorded from the seen-set orbit enumeration
+PINNED_POINTS = {
+    ("B2", (1, 1)): (
+        (-2, 1), (-2, 3), (-1, -1), (-1, 1), (-1, 3), (0, -1),
+        (0, 1), (1, -3), (1, -1), (1, 1), (2, -3), (2, -1),
+    ),
+    ("G2", (0, 1)): (
+        (-3, 1), (-3, 2), (-2, 1), (-1, 0), (-1, 1), (0, -1), (0, 0),
+        (0, 1), (1, -1), (1, 0), (2, -1), (3, -2), (3, -1),
+    ),
+    ("A3", (1, 1, 0)): (
+        (-2, 1, 1), (-2, 2, -1), (-1, -1, 2), (-1, 0, 0), (-1, 1, -2),
+        (-1, 2, 0), (0, -2, 1), (0, -1, -1), (0, 0, 1), (0, 1, -1),
+        (1, -2, 2), (1, -1, 0), (1, 0, -2), (1, 1, 0), (2, -1, 1), (2, 0, -1),
+    ),
+}
+
+
+@pytest.mark.parametrize("spec,lam", sorted(PINNED_POINTS))
+def test_enumerate_perm_points_are_pinned(spec, lam):
+    assert enumerate_perm(from_spec(spec), lam).points == PINNED_POINTS[spec, lam]
+
+
 def test_point_set_export():
     rs = from_spec("A2")
     perm = enumerate_perm(rs, (1, 1))
@@ -89,6 +128,25 @@ def test_traverse_examples():
     assert traverse_bruteforce(b2, (1, 0), long_simple) == 0  # funny deduction
     assert traverse_formula(b2, (1, 0), long_simple) == 0
     assert traverse_formula(b2, (1, 0), short_simple) == 0
+
+
+def test_traverse_bruteforce_rejects_a_negative_string_top(monkeypatch):
+    # a doctored point set that is not s_alpha-symmetric: along alpha_1 of
+    # A2 (step (2, -1), coroot pairing = first coordinate) one string runs
+    # (-4, 2) -> (-2, 1), whose top pairs to -2, and (1, 0) is a top
+    # pairing to 1; the scan skips the membership test only where a
+    # pairing cannot lower the minimum, so it must still find the -2
+    a2 = from_spec("A2")
+    points = ((-4, 2), (-2, 1), (1, 0))
+    fake = DiscretePermutohedron(
+        center=(0, 0), points=points, point_set=frozenset(points)
+    )
+    monkeypatch.setattr(polytope, "enumerate_perm", lambda rs, lam: fake)
+    with pytest.raises(
+        errors.InvariantViolationError,
+        match="string boundary pairing cannot be negative",
+    ):
+        traverse_bruteforce(a2, (0, 0), (1, 0))
 
 
 def test_traverse_negative_root_folds_over():

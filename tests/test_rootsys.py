@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from rootfire import errors
 from rootfire.rootsys import (
     apply_word,
+    dominant,
     dominant_rep,
     from_spec,
     minuscule_weights,
@@ -228,6 +230,7 @@ def test_dominant_rep_box_properties(spec):
         assert len(word) == word_inversions(rs, word) == _neg_pairing_count(rs, w)
         dom2, word2 = dominant_rep(rs, dom)
         assert dom2 == dom and word2 == ()
+        assert dominant(rs, w) == dom
 
 
 def test_root_order_examples():
@@ -259,6 +262,67 @@ def test_weyl_orbit_sizes():
     assert len(weyl_orbit(a2, (1, 1))) == 6
     assert len(weyl_orbit(a2, (1, 0))) == 3
     assert len(weyl_orbit(from_spec("B2"), (0, 1))) == 4
+
+
+def weyl_group_order(letter, n):
+    """|W| from the classification's closed forms."""
+    if letter == "A":
+        return factorial(n + 1)
+    if letter in "BC":
+        return 2**n * factorial(n)
+    if letter == "D":
+        return 2 ** (n - 1) * factorial(n)
+    return {("G", 2): 12, ("F", 4): 1152, ("E", 6): 51840}[letter, n]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "D4", "G2", "F4", "E6"],
+)
+def test_regular_orbit_has_weyl_group_order(spec):
+    # W acts simply transitively on the orbit of a regular weight
+    rs = from_spec(spec)
+    for lam in (rs.rho(), tuple(range(1, rs.rank + 1))):
+        orbit = weyl_orbit(rs, lam)
+        assert len(orbit) == weyl_group_order(rs.type_letter, rs.rank)
+        assert list(orbit) == sorted(set(orbit))
+    points = set(orbit)
+    for i in range(1, rs.rank + 1):
+        assert {reflect_simple(rs, i, v) for v in orbit} == points, i
+
+
+def seen_set_closure(rs, weight):
+    seen = {tuple(weight)}
+    queue = [tuple(weight)]
+    while queue:
+        v = queue.pop()
+        for i in range(1, rs.rank + 1):
+            w = reflect_simple(rs, i, v)
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen
+
+
+@pytest.mark.parametrize("spec", ["A2", "B2", "G2", "A3", "B3", "C3", "D4"])
+def test_weyl_orbit_matches_reflection_closure(spec):
+    rs = from_spec(spec)
+    for w in product(range(-2, 3), repeat=rs.rank):
+        orbit = weyl_orbit(rs, w)
+        assert orbit == tuple(sorted(seen_set_closure(rs, w))), w
+
+
+@pytest.mark.parametrize("spec", ["A4", "B4", "F4", "E6"])
+def test_weyl_orbit_is_closed_under_simple_reflections(spec):
+    rs = from_spec(spec)
+    # weights with nontrivial stabilizers; regular orbits are checked above
+    weights = [rs.fundamental_weight(i) for i in range(1, rs.rank + 1)]
+    weights.append(tuple((-1) ** j * (j % 3) for j in range(rs.rank)))
+    for w in weights:
+        orbit = set(weyl_orbit(rs, w))
+        assert tuple(w) in orbit
+        for i in range(1, rs.rank + 1):
+            assert {reflect_simple(rs, i, v) for v in orbit} == orbit, (w, i)
 
 
 def test_minuscule_sets():
