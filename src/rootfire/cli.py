@@ -332,15 +332,17 @@ def _suite_sinks(rs, args):
 
 
 def _suite_traverse(rs, args):
-    cases = [
+    lams = list(product(range(args.cmax + 1), repeat=rs.rank))
+    mism = [
         (lam, root)
-        for lam in product(range(args.cmax + 1), repeat=rs.rank)
-        for root in rs.pos_roots
+        for lam in lams
+        for root, brute in zip(rs.pos_roots, pt.traverse_bruteforce(rs, lam))
+        if brute != pt.traverse_formula(rs, lam, root)
     ]
-    mism = [c for c in cases if pt.traverse_bruteforce(rs, *c) != pt.traverse_formula(rs, *c)]
+    cases = len(lams) * len(rs.pos_roots)
     for lam, root in mism:
         yield False, f"{rs.spec} traverse mismatch at {lam} along {root}"
-    yield not mism, f"{rs.spec} traverse: {len(cases)} cases, {len(mism)} mismatches"
+    yield not mism, f"{rs.spec} traverse: {cases} cases, {len(mism)} mismatches"
 
 
 def _edge_escapes(rs, params, center) -> list[tuple]:

@@ -7,8 +7,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice, product
-from operator import add, mul
+from itertools import chain, islice
+from operator import mul, sub
 
 from .errors import (
     DomainError,
@@ -111,35 +111,43 @@ def perm_contains(rs: RootSystem, lam_dom: Weight, mu: Weight) -> bool:
 def enumerate_perm(rs: RootSystem, lam_dom: Weight) -> DiscretePermutohedron:
     """All lattice points of the permutohedron of a dominant weight.
 
-    Enumerates the dominant slice (differences of simple roots within the
-    root-coordinate box of the center) and expands each slice point by its
-    Weyl orbit.  Orbits are walked lazily, so the point cap is enforced as
-    soon as it is passed, not after a whole orbit is built.  Results are
-    cached per (system, center, cap); traverse scans hit the same center
-    once per root.
+    Finds the dominant slice (the dominant weights below the center in the
+    root order) by descent from the center, and expands each slice point
+    by its Weyl orbit as soon as it is found.  Orbits are walked lazily,
+    so the point cap is enforced as soon as it is passed, not after a
+    whole orbit is built.  The last few results are cached per (system,
+    center, cap).
     """
     require_dominant(lam_dom)
     return _enumerate_perm_cached(rs, tuple(lam_dom), point_cap())
 
 
-@lru_cache(maxsize=64)
+def _dominant_slice(rs: RootSystem, lam_dom: Weight):
+    """Yield each dominant weight at or below ``lam_dom`` in the root order once.
+
+    Stembridge (The partial order of dominant weights, 1998): each of
+    them is reached from ``lam_dom`` by subtracting positive roots one at
+    a time without leaving the dominant chamber, so this search visits
+    the dominant slice and nothing else.
+    """
+    seen = {lam_dom}
+    todo = [lam_dom]
+    while todo:
+        nu = todo.pop()
+        yield nu
+        for step in rs.pos_root_weights:
+            below = tuple(map(sub, nu, step))
+            if min(below) >= 0 and below not in seen:
+                seen.add(below)
+                todo.append(below)
+
+
+@lru_cache(maxsize=8)
 def _enumerate_perm_cached(
     rs: RootSystem, lam_dom: Weight, cap: int
 ) -> DiscretePermutohedron:
-    bounds = rs.root_coords(lam_dom)
-    if any(b < 0 for b in bounds):
-        raise PreconditionError(f"{lam_dom} has negative root coordinates")
-    # dominant slice points differ from the center by lattice vectors inside
-    # the root-coordinate box, so flooring the (possibly fractional) bounds
-    # b / f loses nothing
-    f = rs.index_of_connection
-    ranges = [range(b // f + 1) for b in bounds]
-    columns = tuple(zip(*rs.cartan))
     points: set[Weight] = set()
-    for a in product(*ranges):
-        nu = tuple([c - sum(map(mul, a, col)) for c, col in zip(lam_dom, columns)])
-        if min(nu) < 0:
-            continue
+    for nu in _dominant_slice(rs, lam_dom):
         # orbits of distinct dominant weights are disjoint, so taking one
         # point past the room left is enough to pass the cap
         points.update(islice(_iter_orbit(rs, nu), cap + 1 - len(points)))
@@ -152,31 +160,44 @@ def _enumerate_perm_cached(
     )
 
 
-def traverse_bruteforce(rs: RootSystem, lam_dom: Weight, alpha: RootVec) -> int:
+def traverse_bruteforce(rs: RootSystem, lam_dom: Weight) -> tuple[int, ...]:
     """Shortest maximal root string inside the permutohedron, by search.
 
-    Negative roots give the same answer as their positives (strings are
-    reflection-symmetric), so they are folded over before searching.
+    Returns one length per positive root, in ``rs.pos_roots`` order; a
+    negative root has its positive's length (strings are
+    reflection-symmetric).  The length along α is the least pairing
+    ⟨μ, α^∨⟩ over the string tops μ, the points with μ + α outside the
+    permutohedron.
+
+    Each point μ is scanned by its integer key Σ μ_i·R^i.  With B the
+    largest absolute coordinate of any point plus that of any positive
+    root, every μ and every μ + α has coordinates in [-B, B]; those are
+    the balanced digits of base R = 2B + 1, so the key is one-to-one on
+    them.  The key is linear, so key(μ + α) = key(μ) + key(α), and
+    μ + α is a point exactly when that sum is a point's key.
     """
-    if not rs.is_root(alpha):
-        raise DomainError(f"{alpha} is not a root of {rs.spec}")
-    if all(x <= 0 for x in alpha):
-        alpha = tuple(-x for x in alpha)
-    perm = enumerate_perm(rs, lam_dom)
-    idx = rs.root_index(alpha)
-    step = rs.pos_root_weights[idx]
-    coroot = rs.pos_coroots[idx]
-    members = perm.point_set
-    best = None
-    for mu in perm.points:
-        if tuple(map(add, mu, step)) in members:
-            continue
-        val = sum(map(mul, coroot, mu))
-        if best is None or val < best:
-            best = val
-    if best is None or best < 0:
-        raise InvariantViolationError("string boundary pairing cannot be negative")
-    return best
+    points = enumerate_perm(rs, lam_dom).points
+    steps = rs.pos_root_weights
+    bound = max(map(abs, chain.from_iterable(points))) + max(
+        map(abs, chain.from_iterable(steps))
+    )
+    powers = [(2 * bound + 1) ** i for i in range(rs.rank)]
+    keys = [sum(map(mul, mu, powers)) for mu in points]
+    members = set(keys)
+    lengths = []
+    for step, coroot in zip(steps, rs.pos_coroots):
+        shift = sum(map(mul, step, powers))
+        best = None
+        for key, mu in zip(keys, points):
+            if key + shift in members:
+                continue
+            val = sum(map(mul, coroot, mu))
+            if best is None or val < best:
+                best = val
+        if best is None or best < 0:
+            raise InvariantViolationError("string boundary pairing cannot be negative")
+        lengths.append(best)
+    return tuple(lengths)
 
 
 def is_funny(rs: RootSystem, lam_dom: Weight) -> bool:

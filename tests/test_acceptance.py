@@ -75,9 +75,8 @@ def test_criterion_03_traverse_lengths():
         rs = from_spec(spec)
         funny_cases[spec] = 0
         for lam in product(range(4), repeat=rs.rank):
-            for root in rs.pos_roots:
+            for root, brute in zip(rs.pos_roots, traverse_bruteforce(rs, lam)):
                 cases += 1
-                brute = traverse_bruteforce(rs, lam, root)
                 assert brute == traverse_formula(rs, lam, root), (spec, lam, root)
                 if is_funny(rs, lam) and rs.length_class[rs.root_index(root)] == "long":
                     funny_cases[spec] += 1

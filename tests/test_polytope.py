@@ -2,6 +2,7 @@
 
 import tracemalloc
 from itertools import product
+from operator import add, mul
 
 import pytest
 
@@ -16,6 +17,7 @@ from rootfire.polytope import (
     traverse_formula,
 )
 from rootfire.rootsys import from_spec, root_order_leq, weyl_orbit
+from test_rootsys import CLASSIFICATION
 
 
 def test_perm_contains_examples():
@@ -108,6 +110,35 @@ def test_enumerate_perm_points_are_pinned(spec, lam):
     assert enumerate_perm(from_spec(spec), lam).points == PINNED_POINTS[spec, lam]
 
 
+def _box_slice(rs, lam):
+    """The dominant slice by scanning the root-coordinate box of ``lam``.
+
+    Every dominant weight below ``lam`` is ``lam`` minus a nonnegative
+    integer combination of simple roots whose coefficients are at most
+    ``lam``'s root coordinates.
+    """
+    f = rs.index_of_connection
+    columns = tuple(zip(*rs.cartan))
+    out = set()
+    for a in product(*(range(b // f + 1) for b in rs.root_coords(lam))):
+        nu = tuple(c - sum(map(mul, a, col)) for c, col in zip(lam, columns))
+        if min(nu) >= 0:
+            out.add(nu)
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec", [s for s in sorted(CLASSIFICATION) if from_spec(s).rank <= 4]
+)
+def test_dominant_slice_matches_the_box_scan(spec):
+    rs = from_spec(spec)
+    cmax = 3 if rs.rank <= 3 else 1
+    for lam in product(range(cmax + 1), repeat=rs.rank):
+        found = list(polytope._dominant_slice(rs, lam))
+        assert len(found) == len(set(found)), (spec, lam)
+        assert set(found) == _box_slice(rs, lam), (spec, lam)
+
+
 def test_point_set_export():
     rs = from_spec("A2")
     perm = enumerate_perm(rs, (1, 1))
@@ -119,13 +150,15 @@ def test_point_set_export():
 def test_traverse_examples():
     a2 = from_spec("A2")
     alpha1 = (1, 0)
-    assert traverse_bruteforce(a2, (1, 1), alpha1) == 1
+    at1 = a2.root_index(alpha1)
+    assert traverse_bruteforce(a2, (1, 1))[at1] == 1
     assert traverse_formula(a2, (1, 1), alpha1) == 1
-    assert traverse_bruteforce(a2, (0, 0), alpha1) == 0
+    assert traverse_bruteforce(a2, (0, 0))[at1] == 0
     b2 = from_spec("B2")
     long_simple = (1, 0)
     short_simple = (0, 1)
-    assert traverse_bruteforce(b2, (1, 0), long_simple) == 0  # funny deduction
+    # funny deduction
+    assert traverse_bruteforce(b2, (1, 0))[b2.root_index(long_simple)] == 0
     assert traverse_formula(b2, (1, 0), long_simple) == 0
     assert traverse_formula(b2, (1, 0), short_simple) == 0
 
@@ -134,8 +167,7 @@ def test_traverse_bruteforce_rejects_a_negative_string_top(monkeypatch):
     # a doctored point set that is not s_alpha-symmetric: along alpha_1 of
     # A2 (step (2, -1), coroot pairing = first coordinate) one string runs
     # (-4, 2) -> (-2, 1), whose top pairs to -2, and (1, 0) is a top
-    # pairing to 1; the scan skips the membership test only where a
-    # pairing cannot lower the minimum, so it must still find the -2
+    # pairing to 1, so the scan must report the -2 and not return a length
     a2 = from_spec("A2")
     points = ((-4, 2), (-2, 1), (1, 0))
     fake = DiscretePermutohedron(
@@ -146,15 +178,12 @@ def test_traverse_bruteforce_rejects_a_negative_string_top(monkeypatch):
         errors.InvariantViolationError,
         match="string boundary pairing cannot be negative",
     ):
-        traverse_bruteforce(a2, (0, 0), (1, 0))
+        traverse_bruteforce(a2, (0, 0))
 
 
 def test_traverse_negative_root_folds_over():
     b2 = from_spec("B2")
     assert traverse_formula(b2, (2, 1), (-1, 0)) == traverse_formula(b2, (2, 1), (1, 0))
-    assert traverse_bruteforce(b2, (2, 1), (-1, -1)) == traverse_bruteforce(
-        b2, (2, 1), (1, 1)
-    )
 
 
 def test_funny_weights():
@@ -177,7 +206,42 @@ def test_funny_weights():
 def test_traverse_formula_matches_bruteforce(spec):
     rs = from_spec(spec)
     for lam in product(range(4), repeat=rs.rank):
-        for root in rs.pos_roots:
-            assert traverse_bruteforce(rs, lam, root) == traverse_formula(
-                rs, lam, root
-            ), (spec, lam, root)
+        for root, length in zip(rs.pos_roots, traverse_bruteforce(rs, lam)):
+            assert length == traverse_formula(rs, lam, root), (spec, lam, root)
+
+
+def _tuple_scan(rs, points):
+    """Traverse lengths by a tuple-set scan of ``points``, one root at a time."""
+    members = set(points)
+    return tuple(
+        min(
+            sum(map(mul, coroot, mu))
+            for mu in points
+            if tuple(map(add, mu, step)) not in members
+        )
+        for step, coroot in zip(rs.pos_root_weights, rs.pos_coroots)
+    )
+
+
+@pytest.mark.parametrize("spec", ["A2", "B2", "G2", "A3", "B3", "C3"])
+def test_traverse_keys_match_the_tuple_scan(spec):
+    rs = from_spec(spec)
+    for lam in product(range(4), repeat=rs.rank):
+        want = _tuple_scan(rs, enumerate_perm(rs, lam).points)
+        assert traverse_bruteforce(rs, lam) == want, (spec, lam)
+
+
+def test_traverse_keys_leave_room_for_the_root_steps(monkeypatch):
+    # G2's first positive root steps by (-3, 2), more than any coordinate
+    # of these doctored points; a radix of 2 * 2 + 1 = 5 without the
+    # root-step padding would give (0, 0) + (-3, 2) the key -3 + 2 * 5 = 7,
+    # which is the key of the point (2, 1), and miss the top (0, 0)
+    g2 = from_spec("G2")
+    assert g2.pos_root_weights[0] == (-3, 2)
+    points = ((0, 0), (2, 1))
+    fake = DiscretePermutohedron(
+        center=(0, 0), points=points, point_set=frozenset(points)
+    )
+    monkeypatch.setattr(polytope, "enumerate_perm", lambda rs, lam: fake)
+    assert _tuple_scan(g2, points) == (0,) * 6
+    assert traverse_bruteforce(g2, (0, 0)) == (0,) * 6
