@@ -72,8 +72,11 @@ def _params(kind: str, ktext: str) -> fi.FiringParams:
 
 def _emit(text: str, out: str | None):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -346,13 +349,12 @@ def _suite_traverse(rs, args):
 
 
 def _edge_escapes(rs, params, center) -> list[tuple]:
-    perm = pt.enumerate_perm(rs, center)
-    out = []
-    for mu in perm.points:
-        for w, j in fi.neighbors(rs, mu, params, "out"):
-            if w not in perm:
-                out.append((mu, w, j))
-    return out
+    return [
+        (mu, w, j)
+        for mu in pt.enumerate_perm(rs, center).points
+        for w, j in fi.neighbors(rs, mu, params)
+        if not pt.perm_contains(rs, center, w)
+    ]
 
 
 def _suite_nonescape(rs, args):

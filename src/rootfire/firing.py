@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from operator import add, mul, sub
-from typing import AbstractSet, Iterable, Literal, NamedTuple
+from typing import AbstractSet, Iterable, Literal
 
 from . import kernel
 from .errors import (
@@ -69,6 +69,10 @@ class FiringParams:
             raise DomainError(f"unknown firing kind {self.kind!r}")
         if self.k_short < 0 or self.k_long < 0:
             raise DomainError("firing parameters must be nonnegative")
+        if self.kind == "central" and (self.k_short or self.k_long):
+            raise DomainError(
+                f"central firing takes no k, got k=({self.k_short},{self.k_long})"
+            )
 
     @classmethod
     def make(cls, kind: str, k_short: int, k_long: int | None = None) -> "FiringParams":
@@ -127,7 +131,14 @@ def _bounds(rs: RootSystem, params: FiringParams) -> tuple[tuple[int, ...], tupl
     """Per-root closed pairing bounds [lo, hi] for fireability.
 
     Built once per (system, params) pair and then served from the cache.
+    A system with one root length has one k, so ``k_short`` and
+    ``k_long`` must agree on it.
     """
+    if rs.simply_laced and params.k_short != params.k_long:
+        raise DomainError(
+            f"{rs.spec} has one root length and takes one k, "
+            f"got k=({params.k_short},{params.k_long})"
+        )
     lo, hi = [], []
     for idx in range(len(rs.pos_roots)):
         if params.kind == "central":
@@ -152,30 +163,17 @@ def is_sink(rs: RootSystem, weight: Weight, params: FiringParams) -> bool:
 
 
 def neighbors(
-    rs: RootSystem,
-    weight: Weight,
-    params: FiringParams,
-    direction: Literal["out", "in", "both"] = "out",
+    rs: RootSystem, weight: Weight, params: FiringParams
 ) -> list[tuple[Weight, int]]:
-    """Adjacent weights with the root index of the connecting edge.
+    """Out-neighbors: ``weight + alpha`` for each fireable root ``alpha``.
 
-    An in-neighbor of ``v`` along root ``alpha`` is ``v - alpha`` with
-    ``alpha`` fireable there, i.e. with pairing ``p(v) - 2`` in bounds.
+    Each comes with the index of ``alpha`` in ``pos_roots``, in that order.
     """
-    lo, hi = _bounds(rs, params)
-    pair = kernel.pairings(rs.pos_coroots, weight)
-    out: list[tuple[Weight, int]] = []
-    if direction in ("out", "both"):
-        for j, p in enumerate(pair):
-            if lo[j] <= p <= hi[j]:
-                step = rs.pos_root_weights[j]
-                out.append((tuple(a + b for a, b in zip(weight, step)), j))
-    if direction in ("in", "both"):
-        for j, p in enumerate(pair):
-            if lo[j] <= p - 2 <= hi[j]:
-                step = rs.pos_root_weights[j]
-                out.append((tuple(a - b for a, b in zip(weight, step)), j))
-    return out
+    steps = rs.pos_root_weights
+    return [
+        (tuple(map(add, weight, steps[j])), j)
+        for j in fireable_roots(rs, weight, params)
+    ]
 
 
 # -- the eta labeling map ----------------------------------------------------
@@ -304,8 +302,9 @@ def component(
     Undirected breadth-first closure.  Each queued weight carries its
     vector of coroot pairings, computed once at ``weight``: the roots
     with pairing in bounds give the out-edges, those with pairing - 2 in
-    bounds the in-edges, and a new neighbor's vector is the current one
-    plus or minus a row of ``rs.pos_gram``.  For good parameters every
+    bounds the in-edges (``v - alpha`` pairs to ``p - 2`` with
+    ``alpha``), and a new neighbor's vector is the current one plus or
+    minus a row of ``rs.pos_gram``.  For good parameters every
     visited weight is asserted to lie in the bounding permutohedron of
     the component's sink label; with ``force`` (non-good parameters) the
     assertion is skipped and only the point cap limits the search.
@@ -328,7 +327,9 @@ def component(
             raise InvariantViolationError(
                 f"component of {weight} escapes its bounding permutohedron at {v}"
             )
-        # out-edges, then in-edges, as neighbors(..., "both") lists them
+        # out-edges, then in-edges: v - alpha_j fires into v exactly when
+        # alpha_j is fireable at v - alpha_j, and there its pairing is
+        # p_j - <alpha_j, alpha_j^vee> = p_j - 2
         edges = [(j, add) for j, pj in enumerate(p) if lo[j] <= pj <= hi[j]]
         edges += [(j, sub) for j, pj in enumerate(p) if lo[j] <= pj - 2 <= hi[j]]
         for j, op in edges:
@@ -452,7 +453,7 @@ def build_graph(
     index = {v: i for i, v in enumerate(vertices)}
     edges = []
     for v in vertices:
-        for w, j in neighbors(rs, v, params, "out"):
+        for w, j in neighbors(rs, v, params):
             if w in index:
                 edges.append((index[v], index[w], j))
     return FiringGraph(
@@ -463,39 +464,34 @@ def build_graph(
 # -- central firing exploration ----------------------------------------------
 
 
-class CentralSinks(NamedTuple):
-    sinks: tuple[Weight, ...]
-    complete: bool
+def reachable_central_sinks(rs: RootSystem, weight: Weight) -> tuple[Weight, ...]:
+    """All central-firing sinks reachable from ``weight`` by forward moves, sorted.
 
-
-def reachable_central_sinks(
-    rs: RootSystem, weight: Weight, budget: int = 10_000
-) -> CentralSinks:
-    """All central-firing sinks reachable from ``weight`` by forward moves.
-
-    Central firing is not confluent in general, so the result may have
-    several sinks.  ``complete`` is False when the budget cut the search.
+    Central firing is not confluent in general, so there may be several
+    sinks.  Its moves (pairing 0) are truncated k = 1 moves (pairing in
+    [-1, 0]), and truncated firing terminates, so the search is finite;
+    it stops at the point cap like every other search.
     """
     params = FiringParams(kind="central")
+    cap = point_cap()
     start = tuple(weight)
     seen = {start}
     queue = deque([start])
-    sinks: set[Weight] = set()
-    complete = True
+    sinks = []
     while queue:
         v = queue.popleft()
-        outs = neighbors(rs, v, params, "out")
+        outs = neighbors(rs, v, params)
         if not outs:
-            sinks.add(v)
-            continue
+            sinks.append(v)
         for w, _ in outs:
             if w not in seen:
-                if len(seen) >= budget:
-                    complete = False
-                    continue
                 seen.add(w)
                 queue.append(w)
-    return CentralSinks(tuple(sorted(sinks)), complete)
+                if len(seen) > cap:
+                    raise ResourceCapError(
+                        f"central firing from {weight} exceeds the cap of {cap} points"
+                    )
+    return tuple(sorted(sinks))
 
 
 # -- Weyl and lattice symmetries of the graphs --------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice
 from operator import mul, sub
@@ -82,16 +82,12 @@ def scoped_cap(cap: int | None):
 class DiscretePermutohedron:
     """Lattice points of a Weyl-orbit hull within the center's coset.
 
-    ``points`` is sorted; ``point_set`` holds the same points for
-    membership tests.
+    ``points`` is sorted.  Membership is the root-order test
+    ``perm_contains(rs, center, mu)``, which needs no set of the points.
     """
 
     center: Weight
     points: tuple[Weight, ...]
-    point_set: frozenset[Weight] = field(compare=False, repr=False)
-
-    def __contains__(self, weight) -> bool:
-        return tuple(weight) in self.point_set
 
     def __len__(self) -> int:
         return len(self.points)
@@ -155,9 +151,7 @@ def _enumerate_perm_cached(
             raise ResourceCapError(
                 f"permutohedron of {lam_dom} exceeds the cap of {cap} points"
             )
-    return DiscretePermutohedron(
-        center=tuple(lam_dom), points=tuple(sorted(points)), point_set=frozenset(points)
-    )
+    return DiscretePermutohedron(center=tuple(lam_dom), points=tuple(sorted(points)))
 
 
 def traverse_bruteforce(rs: RootSystem, lam_dom: Weight) -> tuple[int, ...]:

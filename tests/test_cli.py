@@ -106,6 +106,36 @@ def test_stabilize_non_good_needs_force(capsys):
         decomposition_check(b2, [(0, 0)], fi.FiringParams.make("sym", 0, 1))
 
 
+def test_central_firing_refuses_a_k(capsys):
+    for k in ("3", "0,4"):
+        code, out, err = run(capsys, "graph", "A2", "central", k, "--box", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: central firing takes no k")
+    code, out, _ = run(capsys, "graph", "A2", "central", "0", "--box", "1")
+    assert code == 0 and "v4 -> v8" in out
+
+
+def test_single_length_system_refuses_two_ks(capsys):
+    for argv in (
+        ("stabilize", "A2", "sym", "1,2", "0,0"),
+        ("fiber", "A2", "sym", "1,2", "0,0"),
+        ("graph", "A2", "sym", "1,2", "--box", "1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert "A2 has one root length and takes one k" in err, argv
+    code, out, _ = run(capsys, "stabilize", "B2", "sym", "1,2", "0,0")
+    assert code == 0 and out.startswith("sink ")
+
+
+def test_out_to_an_unwritable_path_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "info.txt"
+    code, out, err = run(capsys, "info", "A2", "--out", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith(f"usage error: cannot write {target}")
+    assert len(err.splitlines()) == 1 and not target.exists()
+
+
 def test_graph_formats_and_determinism(capsys, tmp_path):
     code, dot1, _ = run(capsys, "graph", "A2", "sym", "1", "--box", "3", "--format", "dot")
     code2, dot2, _ = run(capsys, "graph", "A2", "sym", "1", "--box", "3", "--format", "dot")
@@ -398,9 +428,9 @@ def test_decompose_checks_k_zero(capsys):
 
 def _escape_at_k1(real):
     # one extra out-edge far outside every permutohedron, for k = 1 only
-    def neighbors(rs, weight, params, direction="out"):
+    def neighbors(rs, weight, params):
         extra = [((99,) * rs.rank, 0)] if params.k_short == 1 else []
-        return real(rs, weight, params, direction) + extra
+        return real(rs, weight, params) + extra
 
     return neighbors
 

@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 from itertools import product
+from operator import mul, sub
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from rootfire import errors
 from rootfire.ehrhart import full_dim_labels
 from rootfire.firing import (
     FiringParams,
+    _bounds,
     build_graph,
     check_confluence_random,
     component,
@@ -45,6 +47,10 @@ def test_firing_params_validation():
         FiringParams.make("sym", -1)
     with pytest.raises(errors.DomainError):
         FiringParams(kind="weird")
+    for ks in [(3,), (0, 4), (2, 0)]:
+        with pytest.raises(errors.DomainError, match="central firing takes no k"):
+            FiringParams.make("central", *ks)
+    assert FiringParams.make("central", 0) == FiringParams(kind="central")
     assert FiringParams.make("sym", 0, 1).is_good(from_spec("B2")) is False
     assert FiringParams.make("sym", 0, 1).is_good(from_spec("A2")) is True
     assert FiringParams.make("sym", 1, 0).is_good(from_spec("B2")) is True
@@ -65,15 +71,32 @@ def test_fireable_examples():
     assert fireable_roots(a1, (0,), FiringParams.make("central", 0)) == [0]
 
 
+def _in_neighbors(rs, v, params):
+    """In-neighbors from their definition: ``u = v - alpha_j`` with
+    ``alpha_j`` fireable at ``u``, its pairing taken at ``u`` itself."""
+    lo, hi = _bounds(rs, params)
+    ins = []
+    for j, (step, coroot) in enumerate(zip(rs.pos_root_weights, rs.pos_coroots)):
+        u = tuple(map(sub, v, step))
+        if lo[j] <= sum(map(mul, coroot, u)) <= hi[j]:
+            ins.append((u, j))
+    return ins
+
+
+def _undirected_neighbors(rs, v, params):
+    return neighbors(rs, v, params) + _in_neighbors(rs, v, params)
+
+
 def test_neighbors_examples():
     a2 = from_spec("A2")
-    assert neighbors(a2, (0, 0), SYM0, "out") == []
-    ins = {w for w, _ in neighbors(a2, (1, 1), SYM1, "in")}
+    assert neighbors(a2, (0, 0), SYM0) == []
+    assert neighbors(a2, (0, 0), TR1) == [((-1, 2), 0), ((2, -1), 1), ((1, 1), 2)]
+    ins = {w for w, _ in _in_neighbors(a2, (1, 1), SYM1)}
     assert (-1, 2) in ins  # rho minus the first simple root
     a1 = from_spec("A1")
-    both = neighbors(a1, (0,), TR1, "both")
+    both = _undirected_neighbors(a1, (0,), TR1)
     assert both == [((2,), 0)]  # no in-edge: the pairing at -alpha is -2
-    sym_both = {w for w, _ in neighbors(a1, (0,), SYM1, "both")}
+    sym_both = {w for w, _ in _undirected_neighbors(a1, (0,), SYM1)}
     assert sym_both == {(2,), (-2,)}
 
 
@@ -209,11 +232,12 @@ def test_component_cap():
 
 
 def _neighbor_closure(rs, start, params):
-    """The undirected firing closure of ``start``, built from ``neighbors``."""
+    """The undirected firing closure of ``start``: out-edges from
+    ``neighbors``, in-edges from their definition."""
     seen = {start}
     stack = [start]
     while stack:
-        for w, _ in neighbors(rs, stack.pop(), params, "both"):
+        for w, _ in _undirected_neighbors(rs, stack.pop(), params):
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -228,7 +252,8 @@ def _bfs_params(rs):
 @pytest.mark.parametrize("spec", ["A1", "A2", "B2", "G2", "A3", "B3", "C3"])
 def test_component_matches_neighbor_closure(spec):
     # the BFS on pairing vectors against a closure that recomputes every
-    # vertex's pairings from its coordinates
+    # vertex's pairings from its coordinates, and each in-neighbor's at
+    # the in-neighbor itself
     rs = from_spec(spec)
     for params in _bfs_params(rs):
         for lam in full_dim_labels(rs, dominant_only=False):
@@ -337,7 +362,7 @@ def test_stabilize_stops_in_the_stop_set():
     a2 = from_spec("A2")
     v = (-2, -1)
     sink, steps = stabilize_trace(a2, v, TR2)
-    first = neighbors(a2, v, TR2, "out")[0][0]
+    first = neighbors(a2, v, TR2)[0][0]
     assert steps >= 2
     # checked only after a firing: the start itself does not stop the run
     assert stabilize_trace(a2, v, TR2, stop={v}) == (sink, steps)
@@ -379,28 +404,32 @@ def test_confluence_random_examples():
 
 def test_central_sinks():
     a1 = from_spec("A1")
-    assert reachable_central_sinks(a1, (1,)).sinks == ((1,),)
-    assert reachable_central_sinks(a1, (0,)).sinks == ((2,),)
-    res = reachable_central_sinks(from_spec("A2"), (0, 0))
-    assert res.complete and len(res.sinks) > 1
-    partial = reachable_central_sinks(from_spec("A2"), (0, 0), budget=2)
-    assert not partial.complete
+    assert reachable_central_sinks(a1, (1,)) == ((1,),)
+    assert reachable_central_sinks(a1, (0,)) == ((2,),)
+    a2 = from_spec("A2")
+    sinks = reachable_central_sinks(a2, (0, 0))
+    assert len(sinks) > 1 and list(sinks) == sorted(sinks)
+    assert all(is_sink(a2, v, FiringParams(kind="central")) for v in sinks)
+    with pytest.raises(errors.ResourceCapError, match="cap of 2 points"), scoped_cap(2):
+        reachable_central_sinks(a2, (0, 0))
 
 
 def test_nonescape_good_and_known_failure():
     b2 = from_spec("B2")
     good = FiringParams.make("sym", 1, 1)
     perm = enumerate_perm(b2, eta(b2, (0, 0), good))
+    pts = set(perm.points)
     for mu in perm.points:
-        for w, _ in neighbors(b2, mu, good, "out"):
-            assert w in perm
+        for w, _ in neighbors(b2, mu, good):
+            assert w in pts
     # without the goodness guarantee the origin escapes along the long
     # simple root
     bad = FiringParams.make("sym", 0, 1)
     perm = enumerate_perm(b2, rho_of_k(b2, bad))
     alpha1 = b2.pos_root_weights[b2.root_index((1, 0))]
-    outs = {w for w, _ in neighbors(b2, (0, 0), bad, "out")}
-    assert (0, 0) in perm and alpha1 in outs and alpha1 not in perm
+    pts = set(perm.points)
+    outs = {w for w, _ in neighbors(b2, (0, 0), bad)}
+    assert (0, 0) in pts and alpha1 in outs and alpha1 not in pts
 
 
 def test_component_escape_detection_on_non_good():
@@ -547,7 +576,7 @@ def test_matrix_firing_limit_on_ball():
                 tuple(a - b for a, b in zip(rho_k1, tgt))
                 for tgt, _ in matrix_firing_edges(rs, lam)
             }
-            got = {w for w, _ in neighbors(rs, psi, params, "out")}
+            got = {w for w, _ in neighbors(rs, psi, params)}
             assert got == expect, (spec, k, lam)
 
 

@@ -44,7 +44,6 @@ def test_enumerate_perm_agrees_with_membership():
         assert set(perm.points) <= set(box)
         members = {w for w in box if perm_contains(rs, lam, w)}
         assert members == set(perm.points)
-        assert all((w in perm) == perm_contains(rs, lam, w) for w in box)
 
 
 def test_enumerate_perm_is_weyl_stable():
@@ -170,9 +169,7 @@ def test_traverse_bruteforce_rejects_a_negative_string_top(monkeypatch):
     # pairing to 1, so the scan must report the -2 and not return a length
     a2 = from_spec("A2")
     points = ((-4, 2), (-2, 1), (1, 0))
-    fake = DiscretePermutohedron(
-        center=(0, 0), points=points, point_set=frozenset(points)
-    )
+    fake = DiscretePermutohedron(center=(0, 0), points=points)
     monkeypatch.setattr(polytope, "enumerate_perm", lambda rs, lam: fake)
     with pytest.raises(
         errors.InvariantViolationError,
@@ -239,9 +236,7 @@ def test_traverse_keys_leave_room_for_the_root_steps(monkeypatch):
     g2 = from_spec("G2")
     assert g2.pos_root_weights[0] == (-3, 2)
     points = ((0, 0), (2, 1))
-    fake = DiscretePermutohedron(
-        center=(0, 0), points=points, point_set=frozenset(points)
-    )
+    fake = DiscretePermutohedron(center=(0, 0), points=points)
     monkeypatch.setattr(polytope, "enumerate_perm", lambda rs, lam: fake)
     assert _tuple_scan(g2, points) == (0,) * 6
     assert traverse_bruteforce(g2, (0, 0)) == (0,) * 6
