@@ -22,7 +22,7 @@ from .firing import (
     rho_of_k,
     stabilization_label,
 )
-from .polytope import enumerate_perm
+from .polytope import enumerate_perm, require_within_cap
 from .rootsys import RootSystem, Weight, require_dominant, weyl_orbit
 
 Exponent = tuple[int, ...]
@@ -359,13 +359,14 @@ def iterate_check(rs: RootSystem, label: Weight, k_max: int) -> IterateReport:
     params1 = FiringParams.make("symmetric", 1, 1)
     current = {tuple(label)}
     counts = []
-    for _ in range(k_max):
+    for k in range(1, k_max + 1):
         nxt: set[Weight] = set()
         for mu in sorted(current):
             pre = fiber(rs, mu, params1)
             if nxt & set(pre):
                 raise FitInconsistentError("unit-step fibers are not disjoint")
             nxt.update(pre)
+            require_within_cap(len(nxt), f"{k}-fold preimage set of {tuple(label)}")
         current = nxt
         counts.append(len(current))
     fitted = [int(fit.polynomial.evaluate(k)) for k in range(1, k_max + 1)]
@@ -387,6 +388,7 @@ def full_dim_labels(rs: RootSystem, dominant_only: bool = True) -> tuple[Weight,
     out: set[Weight] = set()
     for dom in doms:
         out.update(weyl_orbit(rs, dom))
+        require_within_cap(len(out), f"full-dimensional label set of {rs.spec}")
     return tuple(sorted(out))
 
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from operator import add, mul, sub
-from typing import AbstractSet, Iterable, Literal
+from operator import add, sub
+from typing import Iterable, Literal
 
 from . import kernel
 from .errors import (
@@ -33,7 +33,7 @@ from .errors import (
     PreconditionError,
     ResourceCapError,
 )
-from .polytope import perm_contains, point_cap
+from .polytope import perm_contains, point_cap, require_within_cap
 from .rootsys import (
     RootSystem,
     Weight,
@@ -207,23 +207,20 @@ def stabilize_trace(
     weight: Weight,
     params: FiringParams,
     seed: int | None = None,
-    stop: AbstractSet[Weight] | None = None,
+    limit: int | None = None,
 ) -> tuple[Weight, int]:
     """Fire until stable; returns (sink, number of firings).
 
     ``seed=None`` fires the first fireable root in positive-root order;
-    a seed fires roots in a seeded-random order.  With ``stop`` (first
-    fireable order only) firing also ends at the first weight reached
-    that lies in ``stop``, which is then returned in place of the sink.
-    The step budget is a crude quadratic-potential bound; exceeding it
-    signals a bug.
+    a seed fires roots in a seeded-random order.  In either order,
+    ``limit`` ends the run after that many firings, at the weight then
+    reached.  The step budget is a crude quadratic-potential bound;
+    exceeding it signals a bug.
     """
-    if stop is not None and seed is not None:
-        raise PreconditionError("a stop set applies only to the first-fireable order")
-    pos = rs.simple_positions
-    at_stop = None if stop is None else (lambda p: tuple(p[i] for i in pos) in stop)
-    final, steps = _stabilizer(rs, weight, params)(seed, at_stop)
-    return tuple(final[i] for i in pos), steps
+    if limit is not None and limit < 0:
+        raise PreconditionError(f"a firing limit must be nonnegative, got {limit}")
+    final, steps = _stabilizer(rs, weight, params)(seed, limit)
+    return tuple(final[i] for i in rs.simple_positions), steps
 
 
 def _stabilizer(rs: RootSystem, weight: Weight, params: FiringParams):
@@ -238,8 +235,8 @@ def _stabilizer(rs: RootSystem, weight: Weight, params: FiringParams):
     pair = kernel.pairings(rs.pos_coroots, weight)
     reach = max(map(abs, pair), default=0)
     budget = 4 * len(pair) * (reach + params.k_max() + 2) ** 2
-    return lambda seed, stop=None: kernel.stabilize(
-        pair, rs.pos_gram, lo, hi, budget, seed, stop
+    return lambda seed, limit=None: kernel.stabilize(
+        pair, rs.pos_gram, lo, hi, budget, seed, limit
     )
 
 
@@ -248,9 +245,9 @@ def stabilize(
     weight: Weight,
     params: FiringParams,
     seed: int | None = None,
-    stop: AbstractSet[Weight] | None = None,
+    limit: int | None = None,
 ) -> Weight:
-    return stabilize_trace(rs, weight, params, seed, stop)[0]
+    return stabilize_trace(rs, weight, params, seed, limit)[0]
 
 
 def stabilization_label(
@@ -355,14 +352,14 @@ def fiber(
 
     Empty for symmetric labels that pair to -1 with some positive root
     (those never label a sink).  Otherwise the component of the labeled
-    sink.  For good parameters every member is re-stabilized in
-    first-fireable order as a confluence cross-check, and must end at
-    the sink.  Each firing raises the height <v, 2 rho^vee> strictly, so
-    the members are visited from the highest down, and a member's run
-    stops at the first weight already verified: that weight's own run
-    ends at the sink, so the member's does too.  This proves exactly
-    what re-stabilizing every member to the end would, and each member
-    fires at most once.
+    sink.  For good parameters each member ``v`` fires at most once, to
+    ``w``; ``w`` must be a member, equal to ``v`` (``v`` is stable)
+    exactly when ``v`` is the sink.  That certifies the sink under every
+    firing order: the search adds every out-edge, so the component is
+    closed under forward moves, and firing terminates, so any order from
+    any member ends at a stable member, and the sink is the only one.
+    The kernel finds each firing on fresh pairings, which cross-checks
+    ``component``'s incremental ones along one edge per member.
     """
     good = require_good(rs, params, force)
     if params.kind == "symmetric" and not sym_sink_labels_valid(rs, label):
@@ -370,14 +367,13 @@ def fiber(
     sink = eta(rs, label, params)
     comp = component(rs, sink, params, force=force)
     if good:
-        rho2 = [sum(col) for col in zip(*rs.pos_coroots)]
-        reached = {sink}
-        for v in sorted(comp, key=lambda v: sum(map(mul, v, rho2)), reverse=True):
-            if stabilize(rs, v, params, stop=reached) not in reached:
+        members = set(comp)
+        for v in comp:
+            w = stabilize(rs, v, params, limit=1)
+            if w not in members or (w == v) != (v == sink):
                 raise InvariantViolationError(
                     f"{v} is connected to sink {sink} but stabilizes elsewhere"
                 )
-            reached.add(v)
     return comp
 
 
@@ -435,10 +431,8 @@ def coord_box(rs: RootSystem, bound: int) -> list[Weight]:
     """
     if bound < 0:
         raise DomainError(f"box bound must be nonnegative, got {bound}")
-    cap = point_cap()
     size = (2 * bound + 1) ** rs.rank
-    if size > cap:
-        raise ResourceCapError(f"box of {size} points exceeds the cap of {cap} points")
+    require_within_cap(size, f"box of {size} points")
     return [tuple(v) for v in product(range(-bound, bound + 1), repeat=rs.rank)]
 
 
@@ -446,10 +440,8 @@ def build_graph(
     rs: RootSystem, region: Iterable[Weight], params: FiringParams
 ) -> FiringGraph:
     """Graph induced on a finite region: edges with both endpoints inside."""
-    cap = point_cap()
     vertices = tuple(sorted({tuple(v) for v in region}))
-    if len(vertices) > cap:
-        raise ResourceCapError(f"region exceeds the cap of {cap} points")
+    require_within_cap(len(vertices), "region")
     index = {v: i for i, v in enumerate(vertices)}
     edges = []
     for v in vertices:

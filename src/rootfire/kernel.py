@@ -7,8 +7,8 @@ the root system's pairing matrix (``RootSystem.pos_gram``) to the vector.
 A weight's coordinates are its pairings with the simple coroots, so the
 caller reads the sink off the final vector.  The seeded-random firing
 order draws from splitmix64, so a given seed fires the same roots on
-every platform.  The first-fireable order can also stop early, at the
-first vector a caller's ``stop`` predicate accepts.
+every platform.  Either order can also stop early, after a caller's
+``limit`` of firings.
 """
 
 from __future__ import annotations
@@ -36,22 +36,23 @@ def pairings(coroots, coords):
     return [sum(map(mul, row, coords)) for row in coroots]
 
 
-def stabilize(pair, gram, lo, hi, budget, seed=None, stop=None):
+def stabilize(pair, gram, lo, hi, budget, seed=None, limit=None):
     """Fire until stable; returns (final pairing vector, number of steps).
 
     ``pair`` is ``pairings(coroots, weight)``; firing root i adds
     ``gram[i]`` to it.  ``lo``/``hi`` are the per-root closed
     fireability bounds on the coroot pairing.  ``seed=None`` selects the
     first fireable root in positive-root order; otherwise roots are
-    drawn with splitmix64.  ``stop``, consulted only in the first-fireable
-    order and only after a firing, ends the run at the first pairing
-    vector it accepts, stable or not.
+    drawn with splitmix64.  ``limit`` ends the run after that many
+    firings, stable or not, in either order.
     """
     p = list(pair)
     m = len(p)
     steps = 0
+    # one bound test per firing: the budget is overrun at budget + 1 steps
+    cut = budget + 1 if limit is None else min(limit, budget + 1)
     if seed is None:
-        while True:
+        while steps < cut:
             for j in range(m):
                 if lo[j] <= p[j] <= hi[j]:
                     break
@@ -59,23 +60,15 @@ def stabilize(pair, gram, lo, hi, budget, seed=None, stop=None):
                 break
             p = list(map(add, p, gram[j]))
             steps += 1
-            if steps > budget:
-                raise _over_budget(budget)
-            if stop is not None and stop(p):
-                break
     else:
         state = seed & _MASK
-        while True:
+        while steps < cut:
             fireable = [j for j in range(m) if lo[j] <= p[j] <= hi[j]]
             if not fireable:
                 break
             state, z = splitmix64_next(state)
             p = list(map(add, p, gram[fireable[z % len(fireable)]]))
             steps += 1
-            if steps > budget:
-                raise _over_budget(budget)
+    if steps > budget:
+        raise StepBudgetError(f"stabilization exceeded its step budget of {budget}")
     return tuple(p), steps
-
-
-def _over_budget(budget):
-    return StepBudgetError(f"stabilization exceeded its step budget of {budget}")

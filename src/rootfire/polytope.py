@@ -61,6 +61,13 @@ def point_cap() -> int:
     return _checked_cap(cap)
 
 
+def require_within_cap(size: int, what: str) -> None:
+    """Refuse ``what``, of ``size`` points, when it passes the point cap."""
+    cap = point_cap()
+    if size > cap:
+        raise ResourceCapError(f"{what} exceeds the cap of {cap} points")
+
+
 @contextmanager
 def scoped_cap(cap: int | None):
     """Hold a point cap for the code run inside this block.

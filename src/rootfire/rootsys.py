@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from operator import mul, sub
 
 from .errors import (
@@ -474,9 +475,14 @@ def weyl_orbit(rs: RootSystem, weight: Weight) -> tuple[Weight, ...]:
     """The full Weyl orbit, as a tuple sorted by coordinates.
 
     Walks the tree whose parent map reflects at the first negative
-    coordinate (see ``_iter_orbit``), so each point is built once.
+    coordinate (see ``_iter_orbit``), so each point is built once.  The
+    walk stops one point past the point cap, and then raises.
     """
-    return tuple(sorted(_iter_orbit(rs, weight)))
+    from .polytope import point_cap, require_within_cap  # polytope imports this module
+
+    points = sorted(islice(_iter_orbit(rs, weight), point_cap() + 1))
+    require_within_cap(len(points), f"Weyl orbit of {tuple(weight)}")
+    return tuple(points)
 
 
 def minuscule_weights(rs: RootSystem) -> tuple[Weight, ...]:

@@ -182,6 +182,33 @@ def test_graph_cap_exit_3(capsys, monkeypatch):
     assert code == 3 and "cap" in err
 
 
+def test_traverse_grid_cap_exit_3(capsys, monkeypatch):
+    # the label grid is refused from its size alone, before any label or
+    # permutohedron is made
+    import rootfire.cli as cli
+
+    def no_labels(*args, **kwargs):
+        raise AssertionError("the label grid was built")
+
+    monkeypatch.setattr(cli, "product", no_labels)
+    code, out, err = run(
+        capsys, "verify", "traverse", "A4", "--cmax", "30", "--max-points", "100"
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "resource cap: label grid of 923521 points exceeds the cap of 100 points\n"
+    )
+
+
+def test_iterate_cap_exit_3(capsys):
+    # A2's preimage sets of label 0 have 7, 19, 37, 61, 91, 127 points
+    code, _, err = run(capsys, "verify", "iterate", "A2", "--k", "6", "--max-points", "100")
+    assert code == 3
+    assert err == (
+        "resource cap: 6-fold preimage set of (0, 0) exceeds the cap of 100 points\n"
+    )
+
+
 def test_svg_rank_is_checked_before_the_box(capsys, monkeypatch):
     def no_points(*args, **kwargs):
         raise AssertionError("the box was built")

@@ -17,8 +17,14 @@ from rootfire.ehrhart import (
     perm_ehrhart,
     reference_poly,
 )
-from rootfire.errors import DomainError, FitInconsistentError, PreconditionError
+from rootfire.errors import (
+    DomainError,
+    FitInconsistentError,
+    PreconditionError,
+    ResourceCapError,
+)
 from rootfire.firing import FiringParams, coord_box, fiber
+from rootfire.polytope import scoped_cap
 from rootfire.rootsys import from_spec
 
 
@@ -249,6 +255,22 @@ def test_iterate_check():
     # k_max = 0 would compare two empty count lists
     with pytest.raises(PreconditionError):
         iterate_check(a2, (0, 0), 0)
+    # a k-fold preimage set past the point cap is refused while it grows
+    with scoped_cap(127):
+        assert iterate_check(a2, (0, 0), 6).counts == (7, 19, 37, 61, 91, 127)
+    with scoped_cap(126), pytest.raises(ResourceCapError, match="6-fold preimage set"):
+        iterate_check(a2, (0, 0), 6)
+
+
+def test_full_dim_labels_obey_the_point_cap():
+    # D4's orbits of 0/1 patterns hold 865 labels; the orbit of rho alone 192
+    d4 = from_spec("D4")
+    with scoped_cap(865):
+        assert len(full_dim_labels(d4, dominant_only=False)) == 865
+    # every orbit fits under a cap of 192, their union does not
+    for cap in (100, 192, 864):
+        with scoped_cap(cap), pytest.raises(ResourceCapError, match="label set of D4"):
+            full_dim_labels(d4, dominant_only=False)
 
 
 def test_conjecture_scan_reports():

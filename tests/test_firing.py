@@ -295,49 +295,63 @@ def test_fiber_examples():
         fiber(from_spec("B2"), (0, 0), FiringParams.make("sym", 0, 1))
 
 
-def _height(rs, v):
-    # <v, 2 rho^vee>: the sum of v's pairings with the positive coroots
-    return sum(sum(r * x for r, x in zip(row, v)) for row in rs.pos_coroots)
-
-
-def test_fiber_visits_members_from_the_highest_down(monkeypatch):
+def test_fiber_checks_each_member_once(monkeypatch):
     import rootfire.firing as fi
 
     rs = from_spec("A3")
     real, visits = fi.stabilize, []
 
-    def recording(rs_, v, params, seed=None, stop=None):
-        if stop is not None:  # a member check, not the label's stabilization
+    def recording(rs_, v, params, seed=None, limit=None):
+        if limit is not None:  # a member check, not the label's stabilization
             visits.append(v)
-        return real(rs_, v, params, seed, stop)
+        return real(rs_, v, params, seed, limit)
 
     monkeypatch.setattr(fi, "stabilize", recording)
     fib = fiber(rs, (1, 1, 1), SYM1)
-    assert visits[0] == eta(rs, (1, 1, 1), SYM1)
     assert sorted(visits) == list(fib)
-    heights = [_height(rs, v) for v in visits]
-    assert heights == sorted(heights, reverse=True)
 
 
 @pytest.mark.parametrize("which", [0, -1])
 def test_fiber_check_catches_a_member_sent_elsewhere(monkeypatch, which):
-    # first visited (the highest, the sink itself) and last visited (lowest)
+    # the sink itself, and a member that is not the sink
     import rootfire.firing as fi
 
     rs = from_spec("A3")
     label, params = (1, 1, 1), SYM1
-    order = sorted(fiber(rs, label, params), key=lambda v: _height(rs, v), reverse=True)
-    target, elsewhere = order[which], eta(rs, (0, 0, 0), params)
+    sink = eta(rs, label, params)
+    members = sorted(fiber(rs, label, params), key=lambda v: v != sink)
+    target, elsewhere = members[which], eta(rs, (0, 0, 0), params)
+    assert (target == sink) == (which == 0)
     real = fi.stabilize
 
-    def wrong(rs_, v, params_, seed=None, stop=None):
-        if v == target and stop is not None:
+    def wrong(rs_, v, params_, seed=None, limit=None):
+        if v == target and limit is not None:
             return elsewhere
-        return real(rs_, v, params_, seed, stop)
+        return real(rs_, v, params_, seed, limit)
 
     monkeypatch.setattr(fi, "stabilize", wrong)
     with pytest.raises(errors.InvariantViolationError, match="stabilizes elsewhere"):
         fiber(rs, label, params)
+
+
+def test_fiber_check_catches_a_second_stable_member(monkeypatch):
+    # a component doctored to hold the sink of label 0 as well has two
+    # stable weights, so not every firing order need end at the label's sink
+    import rootfire.firing as fi
+
+    rs = from_spec("A3")
+    label, params = (1, 1, 1), SYM1
+    second = eta(rs, (0, 0, 0), params)
+    assert is_sink(rs, second, params)
+    real = fi.component
+
+    def doctored(rs_, weight, params_, force=False):
+        return tuple(sorted(real(rs_, weight, params_, force) + (second,)))
+
+    monkeypatch.setattr(fi, "component", doctored)
+    with pytest.raises(errors.InvariantViolationError) as exc:
+        fiber(rs, label, params)
+    assert str(exc.value).startswith(f"{second} is connected")
 
 
 def test_fiber_fires_each_member_once(monkeypatch):
@@ -358,18 +372,28 @@ def test_fiber_fires_each_member_once(monkeypatch):
     assert sum(steps) == len(fib) - 1
 
 
-def test_stabilize_stops_in_the_stop_set():
+def test_stabilize_stops_at_the_limit():
     a2 = from_spec("A2")
     v = (-2, -1)
     sink, steps = stabilize_trace(a2, v, TR2)
-    first = neighbors(a2, v, TR2)[0][0]
     assert steps >= 2
-    # checked only after a firing: the start itself does not stop the run
-    assert stabilize_trace(a2, v, TR2, stop={v}) == (sink, steps)
-    assert stabilize_trace(a2, v, TR2, stop={first, sink}) == (first, 1)
-    assert stabilize(a2, v, TR2, stop=set()) == sink
-    with pytest.raises(errors.PreconditionError):
-        stabilize(a2, v, TR2, seed=1, stop={sink})
+    assert stabilize_trace(a2, v, TR2, limit=0) == (v, 0)
+    assert stabilize_trace(a2, v, TR2, limit=1) == (neighbors(a2, v, TR2)[0][0], 1)
+    for limit in (steps, steps + 1, 10**9):
+        assert stabilize_trace(a2, v, TR2, limit=limit) == (sink, steps)
+        assert stabilize(a2, v, TR2, limit=limit) == sink
+    # a seeded run stops after `limit` firings of its own draw order: each
+    # prefix is one firing past the previous one
+    end, seeded_steps = stabilize_trace(a2, v, TR2, seed=1)
+    walk = [stabilize_trace(a2, v, TR2, seed=1, limit=t) for t in range(seeded_steps + 2)]
+    assert [t for _, t in walk] == list(range(seeded_steps + 1)) + [seeded_steps]
+    for (u, _), (w, _) in zip(walk, walk[1:-1]):
+        assert w in {x for x, _ in neighbors(a2, u, TR2)}
+    assert walk[-2][0] == walk[-1][0] == end
+    with pytest.raises(errors.PreconditionError, match="nonnegative"):
+        stabilize(a2, v, TR2, limit=-1)
+    with pytest.raises(errors.PreconditionError, match="nonnegative"):
+        stabilize_trace(a2, v, TR2, seed=1, limit=-1)
 
 
 def test_fiber_members_share_label():

@@ -169,3 +169,19 @@ def test_step_budget_error_matches_oracle():
             with pytest.raises(errors.StepBudgetError) as got:
                 _stabilize(rs, v, lo, hi, budget, seed)
             assert str(got.value) == str(want.value)
+
+
+def test_limit_and_budget_share_one_bound():
+    # a run cut by its limit at the budget passes; one firing more overruns
+    # the budget; a limit past the run's end changes nothing
+    rs = from_spec("B2")
+    lo, hi = _bounds(rs, FiringParams.make("tr", 2))
+    pair, gram = kernel.pairings(rs.pos_coroots, (-3, 2)), rs.pos_gram
+    for seed in (None, 12345):
+        final, steps = kernel.stabilize(pair, gram, lo, hi, 10**6, seed)
+        assert steps >= 3
+        for budget in (0, steps - 1):
+            assert kernel.stabilize(pair, gram, lo, hi, budget, seed, budget)[1] == budget
+            with pytest.raises(errors.StepBudgetError):
+                kernel.stabilize(pair, gram, lo, hi, budget, seed, budget + 1)
+        assert kernel.stabilize(pair, gram, lo, hi, steps, seed, steps + 5) == (final, steps)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootfire import errors
+from rootfire.polytope import scoped_cap
 from rootfire.rootsys import (
     apply_word,
     dominant,
@@ -289,6 +290,28 @@ def test_regular_orbit_has_weyl_group_order(spec):
     points = set(orbit)
     for i in range(1, rs.rank + 1):
         assert {reflect_simple(rs, i, v) for v in orbit} == points, i
+
+
+def test_weyl_orbit_stops_one_point_past_the_cap(monkeypatch):
+    import rootfire.rootsys as rsys
+
+    rs = from_spec("E6")
+    walked = []
+
+    def counting(rs_, weight):
+        for v in real(rs_, weight):
+            walked.append(v)
+            yield v
+
+    real = rsys._iter_orbit
+    monkeypatch.setattr(rsys, "_iter_orbit", counting)
+    with scoped_cap(51840):
+        assert len(weyl_orbit(rs, rs.rho())) == 51840
+    walked.clear()
+    with scoped_cap(100), pytest.raises(errors.ResourceCapError) as exc:
+        weyl_orbit(rs, rs.rho())
+    assert len(walked) == 101
+    assert str(exc.value) == f"Weyl orbit of {rs.rho()} exceeds the cap of 100 points"
 
 
 def seen_set_closure(rs, weight):
