@@ -14,16 +14,15 @@ from itertools import product
 
 from .errors import DomainError, FitInconsistentError, PreconditionError
 from .firing import (
-    _KIND_ALIASES,
-    _KIND_SHORT,
     FiringParams,
     fiber,
+    quotient_affine_image,
     require_good,
     rho_of_k,
     stabilization_label,
 )
 from .polytope import enumerate_perm, require_within_cap
-from .rootsys import RootSystem, Weight, require_dominant, weyl_orbit
+from .rootsys import RootSystem, Weight, require_dominant, subgroup_C, weyl_orbit
 
 Exponent = tuple[int, ...]
 
@@ -244,15 +243,13 @@ def fit_ehrhart_like(
     rs: RootSystem, label: Weight, kind: str, degree_bound: int | None = None
 ) -> FitReport:
     """Fit the fiber-count polynomial of one stabilization label."""
-    full_kind = _KIND_ALIASES.get(kind)
-    flavor = _KIND_SHORT.get(full_kind)
-    if flavor not in ("sym", "tr"):
-        raise DomainError(f"Ehrhart-like fits need kind sym or tr, got {kind!r}")
+    params = FiringParams.make(kind, 0)
+    require_good(rs, params)  # refuses central before any sample
 
     def counter(ks: int, kl: int) -> int:
-        return count_fiber(rs, label, FiringParams.make(full_kind, ks, kl))
+        return count_fiber(rs, label, FiringParams.make(params.kind, ks, kl))
 
-    return _fit(rs, label, flavor, counter, degree_bound)
+    return _fit(rs, label, params.short, counter, degree_bound)
 
 
 def perm_ehrhart(
@@ -315,13 +312,10 @@ def decomposition_check(
     for mu in region:
         mu = tuple(mu)
         count += 1
-        if stabilization_label(rs, mu, sym_k) != stabilization_label(
-            rs, stabilization_label(rs, mu, tr_k), sym_0
-        ):
+        sym_label = stabilization_label(rs, mu, sym_k)
+        if sym_label != stabilization_label(rs, stabilization_label(rs, mu, tr_k), sym_0):
             sym_fail.append(mu)
-        if stabilization_label(rs, mu, tr_k1) != stabilization_label(
-            rs, stabilization_label(rs, mu, sym_k), tr_1
-        ):
+        if stabilization_label(rs, mu, tr_k1) != stabilization_label(rs, sym_label, tr_1):
             tr_fail.append(mu)
     return DecompositionReport(
         system=rs.spec,
@@ -407,9 +401,6 @@ def tr_symmetry_scan(
     transported fiber.  This is empirical data, never asserted by the
     library.
     """
-    from .firing import quotient_affine_image
-    from .rootsys import subgroup_C
-
     tr = FiringParams.make("truncated", params.k_short, params.k_long)
     out = []
     for lam in labels:

@@ -31,7 +31,6 @@ from .errors import (
     InvariantViolationError,
     NonGoodParamsError,
     PreconditionError,
-    ResourceCapError,
 )
 from .polytope import perm_contains, point_cap, require_within_cap
 from .rootsys import (
@@ -45,15 +44,9 @@ from .rootsys import (
 
 Kind = Literal["symmetric", "truncated", "central"]
 
-_KIND_ALIASES = {
-    "sym": "symmetric",
-    "symmetric": "symmetric",
-    "tr": "truncated",
-    "truncated": "truncated",
-    "central": "central",
-}
-
+# each kind's short spelling; either spelling names the kind
 _KIND_SHORT = {"symmetric": "sym", "truncated": "tr", "central": "central"}
+_KIND_LONG = {short: kind for kind, short in _KIND_SHORT.items()}
 
 
 @dataclass(frozen=True)
@@ -65,7 +58,7 @@ class FiringParams:
     k_long: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("symmetric", "truncated", "central"):
+        if self.kind not in _KIND_SHORT:
             raise DomainError(f"unknown firing kind {self.kind!r}")
         if self.k_short < 0 or self.k_long < 0:
             raise DomainError("firing parameters must be nonnegative")
@@ -76,7 +69,7 @@ class FiringParams:
 
     @classmethod
     def make(cls, kind: str, k_short: int, k_long: int | None = None) -> "FiringParams":
-        kind = _KIND_ALIASES.get(kind, kind)
+        kind = _KIND_LONG.get(kind, kind)
         if k_long is None:
             k_long = k_short
         return cls(kind=kind, k_short=k_short, k_long=k_long)
@@ -95,11 +88,20 @@ class FiringParams:
     def k_max(self) -> int:
         return max(self.k_short, self.k_long)
 
+    @property
+    def short(self) -> str:
+        return _KIND_SHORT[self.kind]
+
     def label(self) -> str:
-        short = _KIND_SHORT[self.kind]
         if self.kind == "central":
-            return short
-        return f"{short} k=({self.k_short},{self.k_long})"
+            return self.short
+        return f"{self.short} k=({self.k_short},{self.k_long})"
+
+
+def _require_stabilizing(params: FiringParams) -> None:
+    """Refuse central firing, which is not confluent and has no stabilization."""
+    if params.kind == "central":
+        raise PreconditionError("central firing does not stabilize; explore its graph")
 
 
 def require_good(rs: RootSystem, params: FiringParams, force: bool = False) -> bool:
@@ -108,8 +110,7 @@ def require_good(rs: RootSystem, params: FiringParams, force: bool = False) -> b
     Central firing never passes.  Parameters that are not good pass only
     with ``force``, and the caller must then not rely on confluence.
     """
-    if params.kind == "central":
-        raise PreconditionError("central firing does not stabilize; explore its graph")
+    _require_stabilizing(params)
     good = params.is_good(rs)
     if not good and not force:
         raise NonGoodParamsError(
@@ -120,10 +121,7 @@ def require_good(rs: RootSystem, params: FiringParams, force: bool = False) -> b
 
 def rho_of_k(rs: RootSystem, params: FiringParams) -> Weight:
     """The dominant weight whose node coordinates are the per-node k values."""
-    d_long = max(rs.symmetrizer)
-    return tuple(
-        params.k_long if d == d_long else params.k_short for d in rs.symmetrizer
-    )
+    return tuple(params.k_of(rs, j) for j in rs.simple_positions)
 
 
 @lru_cache(maxsize=None)
@@ -229,8 +227,7 @@ def _stabilizer(rs: RootSystem, weight: Weight, params: FiringParams):
     The initial pairings and the step budget depend only on the weight
     and the parameters, so repeated firing orders share them.
     """
-    if params.kind == "central":
-        raise PreconditionError("central firing has no stabilization; explore instead")
+    _require_stabilizing(params)
     lo, hi = _bounds(rs, params)
     pair = kernel.pairings(rs.pos_coroots, weight)
     reach = max(map(abs, pair), default=0)
@@ -336,9 +333,7 @@ def component(
                 # a list: tuple vectors here measured ~3% more peak RSS on fits
                 queue.append((w, list(map(op, p, gram[j]))))
                 if len(seen) > cap:
-                    raise ResourceCapError(
-                        f"component of {weight} exceeds the cap of {cap} points"
-                    )
+                    require_within_cap(len(seen), f"component of {weight}")
     return tuple(sorted(seen))
 
 
@@ -480,9 +475,7 @@ def reachable_central_sinks(rs: RootSystem, weight: Weight) -> tuple[Weight, ...
                 seen.add(w)
                 queue.append(w)
                 if len(seen) > cap:
-                    raise ResourceCapError(
-                        f"central firing from {weight} exceeds the cap of {cap} points"
-                    )
+                    require_within_cap(len(seen), f"central firing from {weight}")
     return tuple(sorted(sinks))
 
 

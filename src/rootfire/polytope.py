@@ -155,9 +155,7 @@ def _enumerate_perm_cached(
         # point past the room left is enough to pass the cap
         points.update(islice(_iter_orbit(rs, nu), cap + 1 - len(points)))
         if len(points) > cap:
-            raise ResourceCapError(
-                f"permutohedron of {lam_dom} exceeds the cap of {cap} points"
-            )
+            require_within_cap(len(points), f"permutohedron of {lam_dom}")
     return DiscretePermutohedron(center=tuple(lam_dom), points=tuple(sorted(points)))
 
 

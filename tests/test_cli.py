@@ -106,6 +106,19 @@ def test_stabilize_non_good_needs_force(capsys):
         decomposition_check(b2, [(0, 0)], fi.FiringParams.make("sym", 0, 1))
 
 
+def test_central_stabilization_is_refused_alike_by_every_command(capsys):
+    for argv in (
+        ("stabilize", "A2", "central", "0", "0,0"),
+        ("fiber", "A2", "central", "0", "0,0"),
+        ("ehrhart", "A2", "central", "0,0"),
+    ):
+        assert run(capsys, *argv) == (
+            1,
+            "",
+            "usage error: central firing does not stabilize; explore its graph\n",
+        )
+
+
 def test_central_firing_refuses_a_k(capsys):
     for k in ("3", "0,4"):
         code, out, err = run(capsys, "graph", "A2", "central", k, "--box", "1")

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from rootfire import ehrhart
 from rootfire.ehrhart import (
     REFERENCE_SYM_POLYS,
     REFERENCE_TR_POLYS,
@@ -23,7 +24,7 @@ from rootfire.errors import (
     PreconditionError,
     ResourceCapError,
 )
-from rootfire.firing import FiringParams, coord_box, fiber
+from rootfire.firing import FiringParams, coord_box, fiber, stabilization_label
 from rootfire.polytope import scoped_cap
 from rootfire.rootsys import from_spec
 
@@ -75,9 +76,11 @@ def test_fit_kind_aliases():
     a2 = from_spec("A2")
     assert fit_ehrhart_like(a2, (1, 1), "symmetric") == fit_ehrhart_like(a2, (1, 1), "sym")
     assert fit_ehrhart_like(a2, (1, -1), "truncated") == fit_ehrhart_like(a2, (1, -1), "tr")
-    for kind in ("central", "sideways"):
-        with pytest.raises(DomainError):
-            fit_ehrhart_like(a2, (0, 0), kind)
+    with pytest.raises(DomainError, match="unknown firing kind 'sideways'"):
+        fit_ehrhart_like(a2, (0, 0), "sideways")
+    with pytest.raises(PreconditionError) as exc:
+        fit_ehrhart_like(a2, (0, 0), "central")
+    assert str(exc.value) == "central firing does not stabilize; explore its graph"
 
 
 @pytest.mark.parametrize("spec", ["A2", "B2", "G2"])
@@ -211,6 +214,22 @@ def test_decomposition_check():
     rep = decomposition_check(b2, coord_box(b2, 3), FiringParams.make("sym", 1, 1))
     assert not rep.tr_asserted
     assert not rep.sym_failures
+
+
+def test_decomposition_check_labels_five_times_per_weight(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return stabilization_label(*args)
+
+    monkeypatch.setattr(ehrhart, "stabilization_label", counting)
+    for spec in ("A2", "B2"):
+        rs = from_spec(spec)
+        region = coord_box(rs, 2)
+        calls.clear()
+        decomposition_check(rs, region, FiringParams.make("sym", 1))
+        assert len(calls) == 5 * len(region)
 
 
 def test_sum_identity_sym_equals_sum_of_tr():

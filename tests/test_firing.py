@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootfire import errors
-from rootfire.ehrhart import full_dim_labels
+from rootfire.ehrhart import decomposition_check, fit_ehrhart_like, full_dim_labels
 from rootfire.firing import (
     FiringParams,
     _bounds,
@@ -35,6 +35,7 @@ from rootfire.firing import (
 )
 from rootfire.polytope import enumerate_perm, scoped_cap
 from rootfire.rootsys import apply_word, from_spec, subgroup_C, weyl_orbit
+from test_rootsys import CLASSIFICATION
 
 SYM0 = FiringParams.make("sym", 0)
 SYM1 = FiringParams.make("sym", 1)
@@ -170,6 +171,40 @@ def test_stabilize_examples():
     assert sink == (1, 1) and steps >= 1
     with pytest.raises(errors.PreconditionError):
         stabilize(a2, (0, 0), FiringParams.make("central", 0))
+
+
+CENTRAL = FiringParams(kind="central")
+CENTRAL_CALLS = {
+    "stabilize": lambda rs: stabilize(rs, (0, 0), CENTRAL),
+    "stabilize_trace": lambda rs: stabilize_trace(rs, (0, 0), CENTRAL),
+    "check_confluence_random": lambda rs: check_confluence_random(
+        rs, (0, 0), CENTRAL, trials=2, seed=0
+    ),
+    "stabilization_label": lambda rs: stabilization_label(rs, (0, 0), CENTRAL),
+    "component": lambda rs: component(rs, (0, 0), CENTRAL, force=True),
+    "fiber": lambda rs: fiber(rs, (0, 0), CENTRAL, force=True),
+    "decomposition_check": lambda rs: decomposition_check(rs, [(0, 0)], CENTRAL),
+    "fit_ehrhart_like": lambda rs: fit_ehrhart_like(rs, (0, 0), "central"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CENTRAL_CALLS))
+def test_central_stabilization_is_refused_alike(name):
+    with pytest.raises(errors.PreconditionError) as exc:
+        CENTRAL_CALLS[name](from_spec("A2"))
+    assert type(exc.value) is errors.PreconditionError
+    assert str(exc.value) == "central firing does not stabilize; explore its graph"
+
+
+@pytest.mark.parametrize("spec", sorted(CLASSIFICATION))
+def test_rho_of_k_matches_the_symmetrizer_rule(spec):
+    # oracle: a node is long exactly when its symmetrizer is the largest
+    rs = from_spec(spec)
+    d_long = max(rs.symmetrizer)
+    for ks, kl in product(range(3), repeat=2):
+        oracle = tuple(kl if d == d_long else ks for d in rs.symmetrizer)
+        for kind in ("sym", "tr"):
+            assert rho_of_k(rs, FiringParams.make(kind, ks, kl)) == oracle
 
 
 def test_stabilize_potential_decreases_each_step():
@@ -434,8 +469,9 @@ def test_central_sinks():
     sinks = reachable_central_sinks(a2, (0, 0))
     assert len(sinks) > 1 and list(sinks) == sorted(sinks)
     assert all(is_sink(a2, v, FiringParams(kind="central")) for v in sinks)
-    with pytest.raises(errors.ResourceCapError, match="cap of 2 points"), scoped_cap(2):
+    with pytest.raises(errors.ResourceCapError) as exc, scoped_cap(2):
         reachable_central_sinks(a2, (0, 0))
+    assert str(exc.value) == "central firing from (0, 0) exceeds the cap of 2 points"
 
 
 def test_nonescape_good_and_known_failure():

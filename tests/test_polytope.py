@@ -65,8 +65,9 @@ def test_perm_size_monotone_in_root_order():
 
 def test_enumerate_perm_cap():
     rs = from_spec("A2")
-    with pytest.raises(errors.ResourceCapError), scoped_cap(10):
+    with pytest.raises(errors.ResourceCapError) as exc, scoped_cap(10):
         enumerate_perm(rs, (9, 9))
+    assert str(exc.value) == "permutohedron of (9, 9) exceeds the cap of 10 points"
     for cap in (0, -5):
         with pytest.raises(errors.PreconditionError), scoped_cap(cap):
             enumerate_perm(rs, (1, 1))
