@@ -19,6 +19,7 @@ from .errors import (
 from .firing import (
     FiringGraph,
     FiringParams,
+    bounding_center,
     build_graph,
     check_confluence_random,
     component,
@@ -29,13 +30,13 @@ from .firing import (
     fireable_roots,
     graph_symmetry_check,
     is_sink,
+    labels_a_sink,
     neighbors,
     reachable_central_sinks,
     rho_of_k,
     stabilization_label,
     stabilize,
     stabilize_trace,
-    sym_sink_labels_valid,
 )
 from .ehrhart import (
     FitReport,

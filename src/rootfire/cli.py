@@ -318,16 +318,11 @@ def _suite_confluence(rs, args):
 
 
 def _suite_sinks(rs, args):
-    def labels_a_sink(w, params):
-        lab = fi.eta_inverse(rs, w, params)
-        if lab is None:
-            return False
-        return params.kind != "symmetric" or fi.sym_sink_labels_valid(rs, lab)
-
     for k, params in _equal_k_grid(args.k_max):
         box = fi.coord_box(rs, 2 * k + 3)
         sinks = {w for w in box if fi.is_sink(rs, w, params)}
-        expected = {w for w in box if labels_a_sink(w, params)}
+        labels = ((w, fi.eta_inverse(rs, w, params)) for w in box)
+        expected = {w for w, lab in labels if lab is not None and fi.labels_a_sink(rs, lab, params)}
         yield sinks == expected, (
             f"{rs.spec} {params.label()} sinks: "
             f"{len(sinks)} found, {len(expected)} expected from labels"
@@ -340,8 +335,10 @@ def _suite_traverse(rs, args):
     mism = [
         (lam, root)
         for lam in product(range(args.cmax + 1), repeat=rs.rank)
-        for root, brute in zip(rs.pos_roots, pt.traverse_bruteforce(rs, lam))
-        if brute != pt.traverse_formula(rs, lam, root)
+        for root, brute, formula in zip(
+            rs.pos_roots, pt.traverse_bruteforce(rs, lam), pt.traverse_formula(rs, lam)
+        )
+        if brute != formula
     ]
     cases = size * len(rs.pos_roots)
     for lam, root in mism:
@@ -361,7 +358,7 @@ def _edge_escapes(rs, params, center) -> list[tuple]:
 def _suite_nonescape(rs, args):
     for k in range(args.k_max + 1):
         params = fi.FiringParams.make("sym", k, k)
-        centers = [fi.eta(rs, bits, params) for bits in product((0, 1), repeat=rs.rank)]
+        centers = [fi.bounding_center(rs, bits, params) for bits in product((0, 1), repeat=rs.rank)]
         escapes = [(center, _edge_escapes(rs, params, center)) for center in centers]
         for center, esc in escapes:
             if esc:

@@ -15,10 +15,10 @@ from itertools import product
 from .errors import DomainError, FitInconsistentError, PreconditionError
 from .firing import (
     FiringParams,
+    bounding_center,
     fiber,
     quotient_affine_image,
     require_good,
-    rho_of_k,
     stabilization_label,
 )
 from .polytope import enumerate_perm, require_within_cap
@@ -137,7 +137,6 @@ class FitReport:
     label: Weight
     kind: str
     variables: int
-    degree_bound: int
     polynomial: LatticePolynomial
     samples: tuple[dict, ...]
     verified_at: tuple[dict, ...]
@@ -169,11 +168,6 @@ class FitReport:
 def count_fiber(rs: RootSystem, label: Weight, params: FiringParams) -> int:
     """Number of weights whose stabilization label is ``label``."""
     return len(fiber(rs, label, params))
-
-
-def _count_perm(rs: RootSystem, lam_dom: Weight, params: FiringParams) -> int:
-    shifted = tuple(a + b for a, b in zip(lam_dom, rho_of_k(rs, params)))
-    return len(enumerate_perm(rs, shifted).points)
 
 
 def _fit(rs, label, flavor, counter, degree_bound) -> FitReport:
@@ -231,7 +225,6 @@ def _fit(rs, label, flavor, counter, degree_bound) -> FitReport:
         label=tuple(label),
         kind=flavor,
         variables=len(axes),
-        degree_bound=d,
         polynomial=poly,
         samples=tuple(samples),
         verified_at=tuple(verified),
@@ -263,7 +256,8 @@ def perm_ehrhart(
     require_dominant(lam_dom)
 
     def counter(ks: int, kl: int) -> int:
-        return _count_perm(rs, lam_dom, FiringParams.make("symmetric", ks, kl))
+        center = bounding_center(rs, lam_dom, FiringParams.make("symmetric", ks, kl))
+        return len(enumerate_perm(rs, center).points)
 
     return _fit(rs, lam_dom, "perm", counter, degree_bound)
 

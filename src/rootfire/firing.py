@@ -20,7 +20,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from operator import add, sub
 from typing import Iterable, Literal
@@ -38,7 +38,9 @@ from .rootsys import (
     Weight,
     WeylWord,
     apply_word,
+    dominant,
     dominant_rep,
+    reflect_simple,
     subgroup_C,
 )
 
@@ -177,24 +179,38 @@ def neighbors(
 # -- the eta labeling map ----------------------------------------------------
 
 
+def _chamber_shift(rs: RootSystem, weight: Weight, params: FiringParams) -> Weight:
+    """w(rho_k), for the ``w`` of ``dominant_rep`` carrying the chamber to ``weight``."""
+    _, word = dominant_rep(rs, weight)
+    return apply_word(rs, word, rho_of_k(rs, params))
+
+
 def eta(rs: RootSystem, weight: Weight, params: FiringParams) -> Weight:
     """Dilation map labeling sinks: translate by the chamber image of rho_k."""
-    _, word = dominant_rep(rs, weight)
-    shift = apply_word(rs, word, rho_of_k(rs, params))
-    return tuple(a + b for a, b in zip(weight, shift))
+    return tuple(map(add, weight, _chamber_shift(rs, weight, params)))
 
 
 def eta_inverse(rs: RootSystem, mu: Weight, params: FiringParams) -> Weight | None:
     """The unique preimage under ``eta``, or None if not in the image."""
-    _, word = dominant_rep(rs, mu)
-    shift = apply_word(rs, word, rho_of_k(rs, params))
-    cand = tuple(a - b for a, b in zip(mu, shift))
+    cand = tuple(map(sub, mu, _chamber_shift(rs, mu, params)))
     return cand if eta(rs, cand, params) == mu else None
 
 
-def sym_sink_labels_valid(rs: RootSystem, weight: Weight) -> bool:
-    """Whether no positive root pairs to -1 (the symmetric sink-label test)."""
-    return all(p != -1 for p in kernel.pairings(rs.pos_coroots, weight))
+def labels_a_sink(rs: RootSystem, label: Weight, params: FiringParams) -> bool:
+    """Whether ``eta(rs, label, params)`` is a sink.
+
+    Every label does under truncated firing.  Under symmetric firing a
+    label does exactly when no positive root pairs to -1 with it.
+    """
+    _require_stabilizing(params)
+    if params.kind != "symmetric":
+        return True
+    return -1 not in kernel.pairings(rs.pos_coroots, label)
+
+
+def bounding_center(rs: RootSystem, label: Weight, params: FiringParams) -> Weight:
+    """dom(label) + rho_k, the center of the permutohedron holding the fiber of ``label``."""
+    return tuple(map(add, dominant(rs, label), rho_of_k(rs, params)))
 
 
 # -- stabilization -----------------------------------------------------------
@@ -306,9 +322,7 @@ def component(
     good = require_good(rs, params, force)
     center = None
     if good:
-        lab = stabilization_label(rs, weight, params)
-        lab_dom, _ = dominant_rep(rs, lab)
-        center = eta(rs, lab_dom, params)
+        center = bounding_center(rs, stabilization_label(rs, weight, params), params)
     cap = point_cap()
     lo, hi = _bounds(rs, params)
     roots, gram = rs.pos_root_weights, rs.pos_gram
@@ -345,19 +359,19 @@ def fiber(
 ) -> tuple[Weight, ...]:
     """All weights whose stabilization label is ``label``.
 
-    Empty for symmetric labels that pair to -1 with some positive root
-    (those never label a sink).  Otherwise the component of the labeled
-    sink.  For good parameters each member ``v`` fires at most once, to
-    ``w``; ``w`` must be a member, equal to ``v`` (``v`` is stable)
-    exactly when ``v`` is the sink.  That certifies the sink under every
-    firing order: the search adds every out-edge, so the component is
-    closed under forward moves, and firing terminates, so any order from
-    any member ends at a stable member, and the sink is the only one.
+    Empty for labels that label no sink (see ``labels_a_sink``).
+    Otherwise the component of the labeled sink.  For good parameters
+    each member ``v`` fires at most once, to ``w``; ``w`` must be a
+    member, equal to ``v`` (``v`` is stable) exactly when ``v`` is the
+    sink.  That certifies the sink under every firing order: the search
+    adds every out-edge, so the component is closed under forward moves,
+    and firing terminates, so any order from any member ends at a stable
+    member, and the sink is the only one.
     The kernel finds each firing on fresh pairings, which cross-checks
     ``component``'s incremental ones along one edge per member.
     """
     good = require_good(rs, params, force)
-    if params.kind == "symmetric" and not sym_sink_labels_valid(rs, label):
+    if not labels_a_sink(rs, label, params):
         return ()
     sink = eta(rs, label, params)
     comp = component(rs, sink, params, force=force)
@@ -538,33 +552,31 @@ def graph_symmetry_check(
     Truncated kind: every element of the lattice-quotient subgroup acts
     through the affine map fixing rho/h.
     """
-    h = rs.coxeter_number
     r2 = Fraction(radius * radius) * max(rs.symmetrizer)
-    violations: list[str] = []
     if params.kind == "symmetric":
         vertices = ball_region(rs, r2)
-        maps = [(f"s{i}", (i,)) for i in range(1, rs.rank + 1)]
-
-        def image(word, v):
-            return apply_word(rs, word, v)
-
+        maps = [(f"s{i}", partial(reflect_simple, rs, i)) for i in range(1, rs.rank + 1)]
     elif params.kind == "truncated":
-        center = tuple(Fraction(1, h) for _ in range(rs.rank))
+        center = tuple(Fraction(1, rs.coxeter_number) for _ in range(rs.rank))
         vertices = ball_region(rs, r2, center)
-        maps = [(f"C[{i}]", word) for i, word in enumerate(subgroup_C(rs))]
-
-        def image(word, v):
-            return quotient_affine_image(rs, word, v)
-
+        maps = [
+            (f"C[{i}]", partial(quotient_affine_image, rs, word))
+            for i, word in enumerate(subgroup_C(rs))
+        ]
     else:
         raise PreconditionError("symmetry check applies to symmetric/truncated kinds")
 
-    graph = build_graph(rs, vertices, params)
-    pts = graph.vertices
-    edges = {(min(pts[s], pts[t]), max(pts[s], pts[t])) for s, t, _ in graph.edges}
-    for name, word in maps:
+    inside = set(vertices)
+    edges = {
+        (min(v, w), max(v, w))
+        for v in vertices
+        for w, _ in neighbors(rs, v, params)
+        if w in inside
+    }
+    violations: list[str] = []
+    for name, image in maps:
         for v, w in sorted(edges):
-            iv, iw = image(word, v), image(word, w)
+            iv, iw = image(v), image(w)
             if (min(iv, iw), max(iv, iw)) not in edges:
                 violations.append(f"{name} breaks edge {v} -- {w}")
     return SymmetryReport(

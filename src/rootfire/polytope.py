@@ -18,7 +18,6 @@ from .errors import (
 )
 from .rootsys import (
     RootSystem,
-    RootVec,
     Weight,
     _iter_orbit,
     dominant,
@@ -230,16 +229,18 @@ def is_funny(rs: RootSystem, lam_dom: Weight) -> bool:
     )
 
 
-def traverse_formula(rs: RootSystem, lam_dom: Weight, alpha: RootVec) -> int:
-    """Closed form for the shortest maximal root string."""
+def traverse_formula(rs: RootSystem, lam_dom: Weight) -> tuple[int, ...]:
+    """Closed form for the shortest maximal root strings.
+
+    Returns one length per positive root, in ``rs.pos_roots`` order, like
+    ``traverse_bruteforce``.  Along a root the length is the least
+    coordinate of ``lam_dom`` at a node of the root's length, less one
+    for long roots when ``lam_dom`` is funny.
+    """
     require_dominant(lam_dom)
-    if not rs.is_root(alpha):
-        raise DomainError(f"{alpha} is not a root of {rs.spec}")
-    if all(x <= 0 for x in alpha):
-        alpha = tuple(-x for x in alpha)
-    d_alpha = rs.root_d[rs.root_index(alpha)]
-    m = min(c for c, d in zip(lam_dom, rs.symmetrizer) if d == d_alpha)
-    is_long = d_alpha == max(rs.symmetrizer)
-    if is_long and is_funny(rs, lam_dom):
-        return m - 1
-    return m
+    least: dict[int, int] = {}
+    for c, d in zip(lam_dom, rs.symmetrizer):
+        least[d] = min(c, least.get(d, c))
+    if is_funny(rs, lam_dom):
+        least[max(least)] -= 1
+    return tuple(least[d] for d in rs.root_d)

@@ -301,10 +301,6 @@ class RootSystem:
         except KeyError:
             raise DomainError(f"{root} is not a positive root of {self.spec}") from None
 
-    def is_root(self, v: RootVec) -> bool:
-        v = tuple(v)
-        return v in self._root_index or tuple(-x for x in v) in self._root_index
-
     def root_coords(self, weight) -> tuple[int, ...]:
         """Simple-root coordinates of a weight-coordinate vector, times f.
 

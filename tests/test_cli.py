@@ -486,7 +486,7 @@ FAILING_CHECKS = {
         ["FAIL - A2 sym k=(0,0) sinks: 17 found, 32 expected from labels"],
     ),
     "traverse": (
-        pt, "traverse_formula", lambda real: lambda *a: real(*a) + 1,
+        pt, "traverse_formula", lambda real: lambda *a: tuple(x + 1 for x in real(*a)),
         ["FAIL - A2 traverse: 27 cases, 27 mismatches"],
     ),
     # only k = 1 escapes: its summary is FAIL, the summary of k = 0 stays ok

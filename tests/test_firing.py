@@ -3,17 +3,18 @@
 import json
 from fractions import Fraction
 from itertools import product
-from operator import mul, sub
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootfire import errors
+from rootfire import errors, firing
 from rootfire.ehrhart import decomposition_check, fit_ehrhart_like, full_dim_labels
 from rootfire.firing import (
     FiringParams,
     _bounds,
+    bounding_center,
     build_graph,
     check_confluence_random,
     component,
@@ -24,6 +25,7 @@ from rootfire.firing import (
     fireable_roots,
     graph_symmetry_check,
     is_sink,
+    labels_a_sink,
     neighbors,
     quotient_affine_image,
     reachable_central_sinks,
@@ -31,10 +33,9 @@ from rootfire.firing import (
     stabilization_label,
     stabilize,
     stabilize_trace,
-    sym_sink_labels_valid,
 )
 from rootfire.polytope import enumerate_perm, scoped_cap
-from rootfire.rootsys import apply_word, from_spec, subgroup_C, weyl_orbit
+from rootfire.rootsys import apply_word, dominant_rep, from_spec, subgroup_C, weyl_orbit
 from test_rootsys import CLASSIFICATION
 
 SYM0 = FiringParams.make("sym", 0)
@@ -150,9 +151,11 @@ def test_eta_inverse_round_trip(coords, ks, kl):
 
 def test_sym_sink_labels():
     a2 = from_spec("A2")
-    assert sym_sink_labels_valid(a2, (2, 1))
-    assert not sym_sink_labels_valid(a2, (-1, 0))
-    assert not sym_sink_labels_valid(a2, (1, -1))
+    assert labels_a_sink(a2, (2, 1), SYM1)
+    assert not labels_a_sink(a2, (-1, 0), SYM1)
+    assert not labels_a_sink(a2, (1, -1), SYM0)
+    # every label labels a truncated sink
+    assert labels_a_sink(a2, (-1, 0), TR1)
 
 
 def test_is_sink_examples():
@@ -185,6 +188,7 @@ CENTRAL_CALLS = {
     "fiber": lambda rs: fiber(rs, (0, 0), CENTRAL, force=True),
     "decomposition_check": lambda rs: decomposition_check(rs, [(0, 0)], CENTRAL),
     "fit_ehrhart_like": lambda rs: fit_ehrhart_like(rs, (0, 0), "central"),
+    "labels_a_sink": lambda rs: labels_a_sink(rs, (0, 0), CENTRAL),
 }
 
 
@@ -205,6 +209,25 @@ def test_rho_of_k_matches_the_symmetrizer_rule(spec):
         oracle = tuple(kl if d == d_long else ks for d in rs.symmetrizer)
         for kind in ("sym", "tr"):
             assert rho_of_k(rs, FiringParams.make(kind, ks, kl)) == oracle
+
+
+@pytest.mark.parametrize("spec", sorted(s for s in CLASSIFICATION if int(s[1:]) <= 4))
+def test_sink_labels_and_bounding_centers_match_their_oracles(spec):
+    # labels_a_sink against is_sink, which reads the firing intervals, and
+    # bounding_center against eta of the dominant label
+    rs = from_spec(spec)
+    for ks, kl in product(range(3), repeat=2):
+        if rs.simply_laced and ks != kl:
+            continue
+        for kind in ("sym", "tr"):
+            params = FiringParams.make(kind, ks, kl)
+            if not params.is_good(rs):
+                continue
+            for lam in product((-1, 0, 1), repeat=rs.rank):
+                sink = is_sink(rs, eta(rs, lam, params), params)
+                assert labels_a_sink(rs, lam, params) == sink, (kind, ks, kl, lam)
+                old = eta(rs, dominant_rep(rs, lam)[0], params)
+                assert bounding_center(rs, lam, params) == old, (kind, ks, kl, lam)
 
 
 def test_stabilize_potential_decreases_each_step():
@@ -245,9 +268,7 @@ def test_sink_classification_rank3(spec):
         params = FiringParams.make(kind, 1, 1)
         for w in coord_box(rs, 2):
             lab = eta_inverse(rs, w, params)
-            expected = lab is not None and (
-                kind == "tr" or sym_sink_labels_valid(rs, lab)
-            )
+            expected = lab is not None and labels_a_sink(rs, lab, params)
             assert is_sink(rs, w, params) == expected, (spec, kind, w)
 
 
@@ -521,13 +542,11 @@ def test_orbit_containment_in_fiber():
     # the component of a sink contains the sink's orbit under the parabolic
     # subgroup at the label's {0,1}-support (the full orbit when that
     # support is everything)
-    from rootfire.rootsys import apply_word, dominant_rep
-
     for spec in ("A2", "B2"):
         rs = from_spec(spec)
         params = FiringParams.make("sym", 1, 1)
         for lam in product(range(-2, 3), repeat=rs.rank):
-            if not sym_sink_labels_valid(rs, lam):
+            if not labels_a_sink(rs, lam, params):
                 continue
             fib = set(fiber(rs, lam, params))
             lam_dom, word = dominant_rep(rs, lam)
@@ -588,6 +607,20 @@ def test_graph_symmetries(spec):
         assert rep.passed, rep.violations[:3]
         rep = graph_symmetry_check(rs, FiringParams.make("tr", k, k), 2 * k + 2)
         assert rep.passed, rep.violations[:3]
+
+
+def test_symmetry_check_fails_on_maps_that_are_not_symmetries(monkeypatch):
+    a2 = from_spec("A2")
+    assert graph_symmetry_check(a2, SYM1, 4).violations == ()
+    assert graph_symmetry_check(a2, TR1, 4).violations == ()
+    # a translation by the first fundamental weight in place of each s_i
+    monkeypatch.setattr(
+        firing, "reflect_simple", lambda rs, i, v: tuple(map(add, v, rs.fundamental_weight(1)))
+    )
+    assert len(graph_symmetry_check(a2, SYM1, 4).violations) == 46
+    # w alone, without the shift that makes w fix rho/h
+    monkeypatch.setattr(firing, "quotient_affine_image", apply_word)
+    assert len(graph_symmetry_check(a2, TR1, 4).violations) == 44
 
 
 @pytest.mark.parametrize("spec", ["A2", "A3", "D4", "E6"])
