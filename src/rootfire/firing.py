@@ -288,11 +288,13 @@ def check_confluence_random(
 ) -> bool:
     """Whether ``trials`` independent random firing orders agree.
 
-    Final pairing vectors are compared directly: they are equal exactly
-    when the sinks are.
+    The orders use the seeds ``seed`` to ``seed + trials - 1``, each of
+    which must lie in [0, 2**64).  Final pairing vectors are compared
+    directly: they are equal exactly when the sinks are.
     """
     if trials < 2:
         raise PreconditionError("need at least two trials")
+    kernel.require_seeds(seed, trials)
     run = _stabilizer(rs, weight, params)
     first = run(seed)[0]
     return all(run(seed + t)[0] == first for t in range(1, trials))
@@ -306,6 +308,7 @@ def component(
     weight: Weight,
     params: FiringParams,
     force: bool = False,
+    label: Weight | None = None,
 ) -> tuple[Weight, ...]:
     """Connected component of the firing graph through ``weight``.
 
@@ -316,13 +319,17 @@ def component(
     ``alpha``), and a new neighbor's vector is the current one plus or
     minus a row of ``rs.pos_gram``.  For good parameters every
     visited weight is asserted to lie in the bounding permutohedron of
-    the component's sink label; with ``force`` (non-good parameters) the
-    assertion is skipped and only the point cap limits the search.
+    the component's sink label, which a caller that knows it passes as
+    ``label`` and is otherwise found by stabilizing ``weight``; with
+    ``force`` (non-good parameters) the assertion is skipped and only the
+    point cap limits the search.
     """
     good = require_good(rs, params, force)
     center = None
     if good:
-        center = bounding_center(rs, stabilization_label(rs, weight, params), params)
+        if label is None:
+            label = stabilization_label(rs, weight, params)
+        center = bounding_center(rs, label, params)
     cap = point_cap()
     lo, hi = _bounds(rs, params)
     roots, gram = rs.pos_root_weights, rs.pos_gram
@@ -374,7 +381,7 @@ def fiber(
     if not labels_a_sink(rs, label, params):
         return ()
     sink = eta(rs, label, params)
-    comp = component(rs, sink, params, force=force)
+    comp = component(rs, sink, params, force=force, label=label)
     if good:
         members = set(comp)
         for v in comp:

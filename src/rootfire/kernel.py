@@ -9,26 +9,63 @@ caller reads the sink off the final vector.  The seeded-random firing
 order draws from splitmix64, so a given seed fires the same roots on
 every platform.  Either order can also stop early, after a caller's
 ``limit`` of firings.
+
+Seeds are integers in [0, 2**64); any other seed is refused, never
+reduced.  splitmix64's state after n steps is seed + n * gamma mod 2**64,
+so the n-th draw of a seed is a pure function of the seed and n
+(``_draw``).  Every run of one seed reads the same stream from its
+start, and a process typically replays a few seeds over many weights
+(``verify confluence`` fires every weight of a box with the same
+``trials`` seeds), so the seeded loop mixes each draw once: ``_MEMOS``
+keeps the first ``_MEMO_DRAWS`` draws of each of the first
+``_MEMO_SEEDS`` seeds it sees, filled as runs reach them.  An entry only
+ever receives its one value, so runs of any length, in any order or
+thread, read the same draws.  Later seeds, and steps past the memo,
+draw live, advancing the state one step per draw.  The memo holds at most ``_MEMO_SEEDS * _MEMO_DRAWS`` draws
+(~0.7 MB at 256 * 64) and never evicts: an evicting cache would thrash
+once the trials outnumber its slots.
 """
 
 from __future__ import annotations
 
 from operator import add, mul
 
-from .errors import StepBudgetError
+from .errors import PreconditionError, StepBudgetError
 
 BACKEND = "pure"
 
 _MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+_MEMO_DRAWS = 64
+_MEMO_SEEDS = 256
+_MEMOS: dict[int, list[int | None]] = {}
+
+
+def _mix(z: int) -> int:
+    """splitmix64's output function of one state."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
 
 
 def splitmix64_next(state: int) -> tuple[int, int]:
     """One step of the splitmix64 generator: (new_state, output)."""
-    state = (state + 0x9E3779B97F4A7C15) & _MASK
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return state, z ^ (z >> 31)
+    state = (state + _GAMMA) & _MASK
+    return state, _mix(state)
+
+
+def _draw(seed: int, n: int) -> int:
+    """The n-th output (from 0) of splitmix64 started at ``seed``."""
+    return _mix((seed + (n + 1) * _GAMMA) & _MASK)
+
+
+def require_seeds(first: int, count: int = 1) -> None:
+    """Refuse ``count`` consecutive seeds from ``first`` unless all lie in [0, 2**64)."""
+    last = first + count - 1
+    if first < 0 or last > _MASK:
+        got = first if count == 1 else f"{first}..{last}"
+        raise PreconditionError(f"seeds must lie in [0, 2**64), got {got}")
 
 
 def pairings(coroots, coords):
@@ -43,8 +80,8 @@ def stabilize(pair, gram, lo, hi, budget, seed=None, limit=None):
     ``gram[i]`` to it.  ``lo``/``hi`` are the per-root closed
     fireability bounds on the coroot pairing.  ``seed=None`` selects the
     first fireable root in positive-root order; otherwise roots are
-    drawn with splitmix64.  ``limit`` ends the run after that many
-    firings, stable or not, in either order.
+    drawn with splitmix64 from a seed in [0, 2**64).  ``limit`` ends the
+    run after that many firings, stable or not, in either order.
     """
     p = list(pair)
     m = len(p)
@@ -61,12 +98,24 @@ def stabilize(pair, gram, lo, hi, budget, seed=None, limit=None):
             p = list(map(add, p, gram[j]))
             steps += 1
     else:
-        state = seed & _MASK
+        require_seeds(seed)
+        memo = _MEMOS.get(seed, ())
+        if not memo and len(_MEMOS) < _MEMO_SEEDS:
+            memo = _MEMOS[seed] = [None] * _MEMO_DRAWS
+        held = len(memo)
+        # the generator's state before draw `held`, the first one drawn live
+        state = (seed + held * _GAMMA) & _MASK
         while steps < cut:
             fireable = [j for j in range(m) if lo[j] <= p[j] <= hi[j]]
             if not fireable:
                 break
-            state, z = splitmix64_next(state)
+            if steps < held:
+                z = memo[steps]
+                if z is None:
+                    z = memo[steps] = _draw(seed, steps)
+            else:
+                state = (state + _GAMMA) & _MASK
+                z = _mix(state)
             p = list(map(add, p, gram[fireable[z % len(fireable)]]))
             steps += 1
     if steps > budget:

@@ -74,6 +74,18 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1 and "PASS" not in out
 
 
+def test_seeds_outside_64_bits_exit_1(capsys):
+    # -1 used to fire the same roots as 2^64 - 1
+    code, out, err = run(capsys, "stabilize", "A2", "sym", "1", "-3,1", "--seed", "-1")
+    assert (code, out) == (1, "")
+    assert err == "usage error: seeds must lie in [0, 2**64), got -1\n"
+    code, out, _ = run(capsys, "stabilize", "A2", "sym", "1", "-3,1", "--seed", str(2**64 - 1))
+    assert code == 0 and "sink" in out
+    code, out, err = run(capsys, "verify", "confluence", "A2", "--seed", "-1")
+    assert (code, out) == (1, "")
+    assert err == "usage error: seeds must lie in [0, 2**64), got -1..23\n"
+
+
 def test_stabilize_output(capsys):
     code, out, _ = run(capsys, "stabilize", "A2", "sym", "1", "0,0")
     assert code == 0

@@ -401,8 +401,8 @@ def test_fiber_check_catches_a_second_stable_member(monkeypatch):
     assert is_sink(rs, second, params)
     real = fi.component
 
-    def doctored(rs_, weight, params_, force=False):
-        return tuple(sorted(real(rs_, weight, params_, force) + (second,)))
+    def doctored(rs_, weight, params_, force=False, label=None):
+        return tuple(sorted(real(rs_, weight, params_, force, label) + (second,)))
 
     monkeypatch.setattr(fi, "component", doctored)
     with pytest.raises(errors.InvariantViolationError) as exc:
@@ -411,8 +411,8 @@ def test_fiber_check_catches_a_second_stable_member(monkeypatch):
 
 
 def test_fiber_fires_each_member_once(monkeypatch):
-    # one stabilization per member plus the label's, and one firing per
-    # member other than the sink
+    # one stabilization per member, and one firing per member other than
+    # the sink: `component` is handed the label, so it stabilizes nothing
     from rootfire import kernel
 
     real, steps = kernel.stabilize, []
@@ -424,7 +424,7 @@ def test_fiber_fires_each_member_once(monkeypatch):
 
     monkeypatch.setattr(kernel, "stabilize", counting)
     fib = fiber(from_spec("A3"), (1, 1, 1), SYM1)
-    assert len(steps) == len(fib) + 1
+    assert len(steps) == len(fib)
     assert sum(steps) == len(fib) - 1
 
 
@@ -480,6 +480,23 @@ def test_confluence_random_examples():
     assert check_confluence_random(a1, (-4,), SYM1, trials=5, seed=1)
     with pytest.raises(errors.PreconditionError):
         check_confluence_random(a2, (0, 0), SYM1, trials=1, seed=0)
+
+
+def test_confluence_seeds_stay_in_64_bits(monkeypatch):
+    # every trial's seed must lie in [0, 2^64); a run whose seeds would
+    # leave it is refused before anything fires
+    from rootfire import kernel
+
+    a2, top = from_spec("A2"), 2**64 - 1
+    assert check_confluence_random(a2, (0, 0), SYM1, trials=2, seed=top - 1)
+    calls = []
+    monkeypatch.setattr(kernel, "stabilize", lambda *args: calls.append(args))
+    for seed, trials in ((top, 2), (top - 1, 3), (-1, 2)):
+        with pytest.raises(errors.PreconditionError) as exc:
+            check_confluence_random(a2, (0, 0), SYM1, trials=trials, seed=seed)
+        last = seed + trials - 1
+        assert str(exc.value) == f"seeds must lie in [0, 2**64), got {seed}..{last}"
+    assert calls == []
 
 
 def test_central_sinks():

@@ -121,31 +121,100 @@ def _oracle_params(rs):
     return [FiringParams.make(kind, s, l) for kind in ("sym", "tr") for s, l in ks]
 
 
-@pytest.mark.parametrize("spec", sorted(CLASSIFICATION))
-def test_incremental_kernel_matches_recompute_oracle(spec):
-    rs = from_spec(spec)
+def _matches_reference(rs, v, params, seed):
+    """Check the kernel against the reference on one run; returns its steps.
+
+    ``stabilize_trace`` must give the reference's sink and step count.
+    Firing root j also adds the j-th unit vector to m extra entries that
+    never fire (lo = 1 > hi = 0): those entries end as the firing counts,
+    which must equal the reference's.
+    """
     m = len(rs.pos_roots)
-    # firing root j also adds the j-th unit vector to m extra entries that
-    # never fire (lo = 1 > hi = 0): those entries end as the firing counts
     gram = tuple(
         row + tuple(int(i == j) for i in range(m)) for j, row in enumerate(rs.pos_gram)
     )
+    lo, hi = _bounds(rs, params)
+    budget = _reference_budget(rs, v, params)
+    sink, steps, fired = _reference_stabilize(
+        v, rs.pos_root_weights, rs.pos_coroots, lo, hi, budget, seed
+    )
+    case = (rs.spec, params, v, seed)
+    assert stabilize_trace(rs, v, params, seed) == (sink, steps), case
+    pair = _reference_pairings(rs, v) + [0] * m
+    final = tuple(_reference_pairings(rs, sink)) + fired
+    assert kernel.stabilize(
+        pair, gram, lo + (1,) * m, hi + (0,) * m, budget, seed
+    ) == (final, steps), case
+    return steps
+
+
+@pytest.mark.parametrize("spec", sorted(CLASSIFICATION))
+def test_incremental_kernel_matches_recompute_oracle(spec):
+    rs = from_spec(spec)
     for params in _oracle_params(rs):
-        lo, hi = _bounds(rs, params)
-        lo_ext, hi_ext = lo + (1,) * m, hi + (0,) * m
         for v in _oracle_weights(rs):
-            budget = _reference_budget(rs, v, params)
             for seed in (None, 1, 2, 12345):
-                sink, steps, fired = _reference_stabilize(
-                    v, rs.pos_root_weights, rs.pos_coroots, lo, hi, budget, seed
-                )
-                case = (params, v, seed)
-                assert stabilize_trace(rs, v, params, seed) == (sink, steps), case
-                pair = _reference_pairings(rs, v) + [0] * m
-                final = tuple(_reference_pairings(rs, sink)) + fired
-                assert kernel.stabilize(
-                    pair, gram, lo_ext, hi_ext, budget, seed
-                ) == (final, steps), case
+                _matches_reference(rs, v, params, seed)
+
+
+def test_draws_by_index_match_the_stream():
+    # draw n of a seed is the n-th output of iterating the generator from
+    # the seed, past the memo's length and at the top of the seed range
+    for seed in (0, 1, 12345, 2**64 - 1):
+        state = seed
+        for n in range(kernel._MEMO_DRAWS + 8):
+            state, z = kernel.splitmix64_next(state)
+            assert kernel._draw(seed, n) == z, (seed, n)
+
+
+# B2 sym k=30 from (-30, 0) fires over 100 times in seeded order; B2 tr
+# k=2 from (-3, 2) a few times
+LONG_RUN = ((-30, 0), FiringParams.make("sym", 30))
+SHORT_RUN = ((-3, 2), FiringParams.make("tr", 2))
+
+
+def test_seeded_runs_past_the_memo_match_the_reference(monkeypatch):
+    monkeypatch.setattr(kernel, "_MEMOS", {})
+    rs = from_spec("B2")
+    for seed in (1, 7):
+        assert _matches_reference(rs, *LONG_RUN, seed) > kernel._MEMO_DRAWS
+        memo = kernel._MEMOS[seed]
+        assert len(memo) == kernel._MEMO_DRAWS and None not in memo
+
+
+def test_seeds_past_the_memo_cap_draw_live(monkeypatch):
+    monkeypatch.setattr(kernel, "_MEMOS", {})
+    monkeypatch.setattr(kernel, "_MEMO_SEEDS", 2)
+    rs = from_spec("B2")
+    for seed in (1, 2, 3, 4):
+        _matches_reference(rs, *LONG_RUN, seed)
+    assert sorted(kernel._MEMOS) == [1, 2]
+
+
+@pytest.mark.parametrize("first", ["long", "short"])
+def test_long_and_short_runs_of_one_seed_share_its_memo(monkeypatch, first):
+    # the memo is filled as far as each run reaches, and either run may
+    # come first without putting the other's stream out of step
+    monkeypatch.setattr(kernel, "_MEMOS", {})
+    rs = from_spec("B2")
+    runs = [LONG_RUN, SHORT_RUN] if first == "long" else [SHORT_RUN, LONG_RUN]
+    for _ in range(2):
+        for v, params in runs:
+            _matches_reference(rs, v, params, 12345)
+
+
+def test_seeds_outside_64_bits_are_refused(monkeypatch):
+    # no seed is reduced mod 2^64: -1 would alias 2^64 - 1
+    monkeypatch.setattr(kernel, "_MEMOS", {})
+    rs = from_spec("A2")
+    lo, hi = _bounds(rs, FiringParams.make("sym", 1))
+    pair = kernel.pairings(rs.pos_coroots, (-3, 1))
+    for seed in (-1, 2**64, -(2**64) - 1):
+        with pytest.raises(errors.PreconditionError) as exc:
+            kernel.stabilize(pair, rs.pos_gram, lo, hi, 100, seed)
+        assert str(exc.value) == f"seeds must lie in [0, 2**64), got {seed}"
+    assert kernel._MEMOS == {}
+    assert kernel.stabilize(pair, rs.pos_gram, lo, hi, 100, 2**64 - 1)[1] > 0
 
 
 def test_step_budget_error_matches_oracle():
