@@ -7,8 +7,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice
-from operator import mul, sub
+from itertools import islice
+from operator import add, mul, sub
 
 from .errors import (
     DomainError,
@@ -117,7 +117,15 @@ def enumerate_perm(rs: RootSystem, lam_dom: Weight) -> DiscretePermutohedron:
     root order) by descent from the center, and expands each slice point
     by its Weyl orbit as soon as it is found.  Orbits are walked lazily,
     so the point cap is enforced as soon as it is passed, not after a
-    whole orbit is built.  The last few results are cached per (system,
+    whole orbit is built.
+
+    Each complete orbit is walked once per process: later centers whose
+    slices share a dominant weight reuse its tuple of points.  An orbit
+    is kept only when its walk finished within the room left under the
+    cap, and a kept orbit also adds at most one point past that room, so
+    an overrun raises at the same point as without the memo.  The memo keeps at
+    most the point cap in points and never evicts; once full, orbits are
+    walked live.  The last few results are also cached per (system,
     center, cap).
     """
     require_dominant(lam_dom)
@@ -144,18 +152,40 @@ def _dominant_slice(rs: RootSystem, lam_dom: Weight):
                 todo.append(below)
 
 
+# complete Weyl orbits by (system, dominant weight), and their point total
+_ORBITS: dict[tuple[RootSystem, Weight], tuple[Weight, ...]] = {}
+_orbit_points = 0
+
+
+def _orbit_within(rs: RootSystem, nu: Weight, room: int, cap: int):
+    """The Weyl orbit of dominant ``nu``, cut to its first ``room`` points.
+
+    Served from ``_ORBITS`` when held there; a walk that finishes short
+    of ``room`` is stored, while the memo stays within ``cap`` points.
+    """
+    global _orbit_points
+    orbit = _ORBITS.get((rs, nu))
+    if orbit is None:
+        orbit = tuple(islice(_iter_orbit(rs, nu), room))
+        if len(orbit) < room and _orbit_points + len(orbit) <= cap:
+            _ORBITS[rs, nu] = orbit
+            _orbit_points += len(orbit)
+    return orbit[:room]
+
+
 @lru_cache(maxsize=8)
 def _enumerate_perm_cached(
     rs: RootSystem, lam_dom: Weight, cap: int
 ) -> DiscretePermutohedron:
-    points: set[Weight] = set()
+    points: list[Weight] = []
     for nu in _dominant_slice(rs, lam_dom):
         # orbits of distinct dominant weights are disjoint, so taking one
         # point past the room left is enough to pass the cap
-        points.update(islice(_iter_orbit(rs, nu), cap + 1 - len(points)))
+        points += _orbit_within(rs, nu, cap + 1 - len(points), cap)
         if len(points) > cap:
             require_within_cap(len(points), f"permutohedron of {lam_dom}")
-    return DiscretePermutohedron(center=tuple(lam_dom), points=tuple(sorted(points)))
+    points.sort()
+    return DiscretePermutohedron(center=tuple(lam_dom), points=tuple(points))
 
 
 def traverse_bruteforce(rs: RootSystem, lam_dom: Weight) -> tuple[int, ...]:
@@ -167,35 +197,27 @@ def traverse_bruteforce(rs: RootSystem, lam_dom: Weight) -> tuple[int, ...]:
     ⟨μ, α^∨⟩ over the string tops μ, the points with μ + α outside the
     permutohedron.
 
-    Each point μ is scanned by its integer key Σ μ_i·R^i.  With B the
-    largest absolute coordinate of any point plus that of any positive
-    root, every μ and every μ + α has coordinates in [-B, B]; those are
-    the balanced digits of base R = 2B + 1, so the key is one-to-one on
-    them.  The key is linear, so key(μ + α) = key(μ) + key(α), and
-    μ + α is a point exactly when that sum is a point's key.
+    The permutohedron P is a union of Weyl orbits, so only its dominant
+    slice is searched.  A point w(ν) with ν dominant is a top along α
+    exactly when ν is a top along w⁻¹(α), with the same pairing, and
+    w⁻¹(α) is ±β for a positive root β of α's length.  All roots of one
+    length form one orbit, so every such ±β occurs for some w.  The
+    length along α is therefore the least ±⟨ν, β^∨⟩ over the slice
+    points ν and the positive roots β of α's length with ν ± β outside
+    P, and it depends on α's length alone.
     """
-    points = enumerate_perm(rs, lam_dom).points
-    steps = rs.pos_root_weights
-    bound = max(map(abs, chain.from_iterable(points))) + max(
-        map(abs, chain.from_iterable(steps))
-    )
-    powers = [(2 * bound + 1) ** i for i in range(rs.rank)]
-    keys = [sum(map(mul, mu, powers)) for mu in points]
-    members = set(keys)
-    lengths = []
-    for step, coroot in zip(steps, rs.pos_coroots):
-        shift = sum(map(mul, step, powers))
-        best = None
-        for key, mu in zip(keys, points):
-            if key + shift in members:
-                continue
-            val = sum(map(mul, coroot, mu))
-            if best is None or val < best:
-                best = val
-        if best is None or best < 0:
-            raise InvariantViolationError("string boundary pairing cannot be negative")
-        lengths.append(best)
-    return tuple(lengths)
+    members = set(enumerate_perm(rs, lam_dom).points)
+    least: dict[int, int] = {}
+    for nu in _dominant_slice(rs, tuple(lam_dom)):
+        for step, coroot, d in zip(rs.pos_root_weights, rs.pos_coroots, rs.root_d):
+            up = sum(map(mul, coroot, nu))
+            # a top can only lower the least pairing, so test it only then
+            for val, top in ((up, map(add, nu, step)), (-up, map(sub, nu, step))):
+                if val < least.get(d, val + 1) and tuple(top) not in members:
+                    least[d] = val
+    if any(least.get(d, -1) < 0 for d in rs.root_d):
+        raise InvariantViolationError("string boundary pairing cannot be negative")
+    return tuple(least[d] for d in rs.root_d)
 
 
 def is_funny(rs: RootSystem, lam_dom: Weight) -> bool:

@@ -499,6 +499,26 @@ def test_confluence_seeds_stay_in_64_bits(monkeypatch):
     assert calls == []
 
 
+def test_confluence_fires_one_order_from_a_sink(monkeypatch):
+    # from a sink the first order fires nothing and so would every other;
+    # a weight that fires fires all `trials` orders
+    from rootfire import kernel
+
+    a2, trials = from_spec("A2"), 7
+    real, calls = kernel.stabilize, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernel, "stabilize", counted)
+    for weight, fired in (((1, 1), 1), ((0, 0), trials)):
+        assert is_sink(a2, weight, SYM1) == (fired == 1)
+        calls.clear()
+        assert check_confluence_random(a2, weight, SYM1, trials=trials, seed=5)
+        assert len(calls) == fired
+
+
 def test_central_sinks():
     a1 = from_spec("A1")
     assert reachable_central_sinks(a1, (1,)) == ((1,),)

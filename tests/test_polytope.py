@@ -1,5 +1,6 @@
 """Discrete permutohedra, traverse lengths, and funny weights."""
 
+import pickle
 import tracemalloc
 from itertools import product
 from operator import add, mul
@@ -87,6 +88,93 @@ def test_enumerate_perm_cap_holds_before_the_orbit_is_built():
     assert peak < 10**6
 
 
+@pytest.fixture
+def fresh_orbits(monkeypatch):
+    """An empty orbit memo and result cache, the process's own restored after."""
+    monkeypatch.setattr(polytope, "_ORBITS", {})
+    monkeypatch.setattr(polytope, "_orbit_points", 0)
+    polytope._enumerate_perm_cached.cache_clear()
+    yield
+    polytope._enumerate_perm_cached.cache_clear()
+
+
+def test_enumerate_perm_cap_is_the_same_from_the_orbit_memo(fresh_orbits, monkeypatch):
+    rs = from_spec("A2")
+    full = enumerate_perm(rs, (9, 9))
+    held = dict(polytope._ORBITS)
+    assert sum(map(len, held.values())) == len(full) == polytope._orbit_points
+
+    def no_walk(rs, nu):
+        raise AssertionError(f"walked the orbit of {nu}")
+
+    monkeypatch.setattr(polytope, "_iter_orbit", no_walk)
+    for cap in (1, 6, 10, 50, len(full) - 1):
+        with pytest.raises(errors.ResourceCapError) as exc, scoped_cap(cap):
+            enumerate_perm(rs, (9, 9))
+        assert str(exc.value) == f"permutohedron of (9, 9) exceeds the cap of {cap} points"
+    assert polytope._ORBITS == held
+    with scoped_cap(len(full)):
+        assert enumerate_perm(rs, (9, 9)) == full
+
+
+def test_a_walk_cut_by_the_cap_is_not_stored(fresh_orbits):
+    e6 = from_spec("E6")
+    with pytest.raises(errors.ResourceCapError), scoped_cap(100):
+        enumerate_perm(e6, (1,) * 6)
+    assert polytope._ORBITS == {}
+    a2 = from_spec("A2")
+    with scoped_cap(6):
+        enumerate_perm(a2, (0, 0))
+        # (1, 2)'s own orbit of 6 does not fit in the memo beside (0, 0);
+        # the orbit of (0, 1) below it is cut after one point, which would
+        # fit, and is not kept
+        with pytest.raises(errors.ResourceCapError):
+            enumerate_perm(a2, (1, 2))
+    assert list(polytope._ORBITS) == [(a2, (0, 0))]
+    # (9, 9)'s own orbit of 6 fits under a cap of 10; the next one is cut
+    with pytest.raises(errors.ResourceCapError), scoped_cap(10):
+        enumerate_perm(a2, (9, 9))
+    assert list(polytope._ORBITS) == [(a2, (0, 0)), (a2, (9, 9))]
+    for (rs, nu), orbit in polytope._ORBITS.items():
+        assert tuple(sorted(orbit)) == weyl_orbit(rs, nu)
+
+
+def test_the_orbit_memo_holds_at_most_the_cap(fresh_orbits):
+    rs, cap = from_spec("B2"), 200
+    walked = set()
+    with scoped_cap(cap):
+        for lam in product(range(6), repeat=2):
+            try:
+                enumerate_perm(rs, lam)
+            except errors.ResourceCapError:
+                pass
+            walked.update(polytope._dominant_slice(rs, lam))
+            held = sum(map(len, polytope._ORBITS.values()))
+            assert held == polytope._orbit_points <= cap
+    # the memo filled up to within one orbit (B2's have at most 8 points),
+    # so later orbits were walked live and not kept
+    assert len(polytope._ORBITS) < len(walked)
+    assert cap - 8 < polytope._orbit_points
+
+
+@pytest.mark.parametrize("spec,cmax", [("A2", 4), ("B2", 4), ("G2", 3), ("A3", 2), ("B3", 2)])
+def test_enumerate_perm_is_the_same_with_a_cold_or_warm_memo(fresh_orbits, spec, cmax):
+    # the seen-set rule: the sorted union of the orbits of the box slice
+    rs = from_spec(spec)
+    centers = list(product(range(cmax + 1), repeat=rs.rank))
+    want = [
+        tuple(sorted(p for nu in _box_slice(rs, lam) for p in weyl_orbit(rs, nu)))
+        for lam in centers
+    ]
+    cold = [enumerate_perm(rs, lam) for lam in centers]
+    polytope._enumerate_perm_cached.cache_clear()
+    warm = [enumerate_perm(rs, lam) for lam in centers]
+    assert polytope._orbit_points > 0
+    for lam, pts, a, b in zip(centers, want, cold, warm):
+        assert a.center == b.center == lam
+        assert pickle.dumps(a.points) == pickle.dumps(b.points) == pickle.dumps(pts)
+
+
 # point tuples recorded from the seen-set orbit enumeration
 PINNED_POINTS = {
     ("B2", (1, 1)): (
@@ -164,19 +252,20 @@ def test_traverse_examples():
 
 
 def test_traverse_bruteforce_rejects_a_negative_string_top(monkeypatch):
-    # a doctored point set that is not s_alpha-symmetric: along alpha_1 of
-    # A2 (step (2, -1), coroot pairing = first coordinate) one string runs
-    # (-4, 2) -> (-2, 1), whose top pairs to -2, and (1, 0) is a top
-    # pairing to 1, so the scan must report the -2 and not return a length
+    # a doctored point set that is not Weyl-stable: A2's permutohedron of
+    # (1, 1) without (-1, 2) = (1, 1) - alpha_1 (step (2, -1), coroot
+    # pairing = first coordinate), so the slice point (1, 1) is a top
+    # along -alpha_1 pairing to -1, and the search must report the -1
+    # and not return a length
     a2 = from_spec("A2")
-    points = ((-4, 2), (-2, 1), (1, 0))
-    fake = DiscretePermutohedron(center=(0, 0), points=points)
+    points = tuple(p for p in enumerate_perm(a2, (1, 1)).points if p != (-1, 2))
+    fake = DiscretePermutohedron(center=(1, 1), points=points)
     monkeypatch.setattr(polytope, "enumerate_perm", lambda rs, lam: fake)
     with pytest.raises(
         errors.InvariantViolationError,
         match="string boundary pairing cannot be negative",
     ):
-        traverse_bruteforce(a2, (0, 0))
+        traverse_bruteforce(a2, (1, 1))
 
 
 def test_funny_weights():
@@ -203,7 +292,12 @@ def test_traverse_formula_matches_bruteforce(spec):
 
 
 def _tuple_scan(rs, points):
-    """Traverse lengths by a tuple-set scan of ``points``, one root at a time."""
+    """Traverse lengths by a full scan of ``points``, one root at a time.
+
+    Every point is tested as a string top along every positive root, so
+    the oracle does not rest on the Weyl symmetry that the slice search
+    of ``traverse_bruteforce`` uses.
+    """
     members = set(points)
     return tuple(
         min(
@@ -215,10 +309,18 @@ def _tuple_scan(rs, points):
     )
 
 
-@pytest.mark.parametrize("spec", ["A2", "B2", "G2", "A3", "B3", "C3"])
+# largest center coordinate per system: 640 centers in all, funny ones
+# among them on the two-length types
+ORACLE_CMAX = {
+    "A2": 5, "B2": 5, "G2": 5, "A3": 3, "B3": 3, "C3": 3,
+    "A4": 2, "B4": 2, "C4": 2, "D4": 2, "F4": 1,
+}
+
+
+@pytest.mark.parametrize("spec", list(ORACLE_CMAX))
 def test_traverse_keys_match_the_tuple_scan(spec):
     rs = from_spec(spec)
-    for lam in product(range(4), repeat=rs.rank):
+    for lam in product(range(ORACLE_CMAX[spec] + 1), repeat=rs.rank):
         want = _tuple_scan(rs, enumerate_perm(rs, lam).points)
         assert traverse_bruteforce(rs, lam) == want, (spec, lam)
 
