@@ -154,7 +154,7 @@ def _bounds(rs: RootSystem, params: FiringParams) -> tuple[tuple[int, ...], tupl
 def fireable_roots(rs: RootSystem, weight: Weight, params: FiringParams) -> list[int]:
     """Indices into ``pos_roots`` of the roots fireable at this weight."""
     lo, hi = _bounds(rs, params)
-    pair = kernel.pairings(rs.pos_coroots, weight)
+    pair = kernel.pairings(rs._coroot_chain, weight)
     return [j for j, p in enumerate(pair) if lo[j] <= p <= hi[j]]
 
 
@@ -205,7 +205,7 @@ def labels_a_sink(rs: RootSystem, label: Weight, params: FiringParams) -> bool:
     _require_stabilizing(params)
     if params.kind != "symmetric":
         return True
-    return -1 not in kernel.pairings(rs.pos_coroots, label)
+    return -1 not in kernel.pairings(rs._coroot_chain, label)
 
 
 def bounding_center(rs: RootSystem, label: Weight, params: FiringParams) -> Weight:
@@ -245,7 +245,7 @@ def _stabilizer(rs: RootSystem, weight: Weight, params: FiringParams):
     """
     _require_stabilizing(params)
     lo, hi = _bounds(rs, params)
-    pair = kernel.pairings(rs.pos_coroots, weight)
+    pair = kernel.pairings(rs._coroot_chain, weight)
     reach = max(map(abs, pair), default=0)
     budget = 4 * len(pair) * (reach + params.k_max() + 2) ** 2
     return lambda seed, limit=None: kernel.stabilize(
@@ -337,7 +337,7 @@ def component(
     roots, gram = rs.pos_root_weights, rs.pos_gram
     start = tuple(weight)
     seen = {start}
-    queue = deque([(start, kernel.pairings(rs.pos_coroots, start))])
+    queue = deque([(start, kernel.pairings(rs._coroot_chain, start))])
     while queue:
         v, p = queue.popleft()
         if center is not None and not perm_contains(rs, center, v):

@@ -1,9 +1,12 @@
 """The stabilization hot loops, in exact integer Python.
 
 Weights and pairings are Python ints, so every pairing and firing step
-is exact at any magnitude.  ``stabilize`` works on the vector of coroot pairings
-alone: a firing move reads only pairings, and firing root i adds row i of
-the root system's pairing matrix (``RootSystem.pos_gram``) to the vector.
+is exact at any magnitude.  ``pairings`` reads a root system's coroot
+chain, in which each non-simple positive coroot is a positive coroot
+plus a simple one, so a weight's pairings cost one addition per root.
+``stabilize`` works on the vector of coroot pairings alone: a firing
+move reads only pairings, and firing root i adds row i of the root
+system's pairing matrix (``RootSystem.pos_gram``) to the vector.
 A weight's coordinates are its pairings with the simple coroots, so the
 caller reads the sink off the final vector.  The seeded-random firing
 order draws from splitmix64, so a given seed fires the same roots on
@@ -28,7 +31,7 @@ once the trials outnumber its slots.
 
 from __future__ import annotations
 
-from operator import add, mul
+from operator import add
 
 from .errors import PreconditionError, StepBudgetError
 
@@ -68,9 +71,20 @@ def require_seeds(first: int, count: int = 1) -> None:
         raise PreconditionError(f"seeds must lie in [0, 2**64), got {got}")
 
 
-def pairings(coroots, coords):
-    """All coroot pairings of one weight, in positive-root order."""
-    return [sum(map(mul, row, coords)) for row in coroots]
+def pairings(chain, coords):
+    """All coroot pairings of one weight, in positive-root order.
+
+    ``chain`` is a root system's coroot chain (``rootsys._coroot_chain``):
+    each entry ``(i, parent, j)`` sets pairing i to pairing ``parent``
+    plus coordinate j, parents first, so a weight's m pairings cost m
+    additions.  Position m is a zero slot, the parent of each simple
+    coroot, and is dropped before returning.
+    """
+    p = [0] * (len(chain) + 1)
+    for i, parent, j in chain:
+        p[i] = p[parent] + coords[j]
+    p.pop()
+    return p
 
 
 def stabilize(pair, gram, lo, hi, budget, seed=None, limit=None):

@@ -146,6 +146,37 @@ def _scaled_inverse_transpose(cartan) -> tuple[int, tuple[tuple[int, ...], ...]]
     return int(f), tuple(tuple(int(x) for x in row) for row in scaled)
 
 
+def _coroot_chain(coroots) -> tuple[tuple[int, int, int], ...]:
+    """The positive coroots as a chain that ``kernel.pairings`` reads.
+
+    One entry ``(i, parent, j)`` per coroot, in coroot-height order:
+    coroot i is coroot ``parent`` plus the j-th simple coroot, so a
+    weight pairs with it to its pairing with ``parent`` plus its
+    coordinate j.  A simple coroot's parent is ``len(coroots)``, a slot
+    past the last position that stands for the zero coroot.  Every
+    non-simple positive coroot is a positive coroot plus a simple one
+    (Humphreys, *Introduction to Lie Algebras and Representation Theory*,
+    10.2), so a parent always exists in a root system; a coroot list
+    without one is refused.
+    """
+    m = len(coroots)
+    position = {c: i for i, c in enumerate(coroots)}
+    position[(0,) * len(coroots[0])] = m
+    chain = []
+    for i in sorted(range(m), key=lambda i: (sum(coroots[i]), i)):
+        c = coroots[i]
+        for j, x in enumerate(c):
+            parent = position.get(c[:j] + (x - 1,) + c[j + 1 :])
+            if parent is not None:
+                chain.append((i, parent, j))
+                break
+        else:
+            raise InvariantViolationError(
+                f"coroot {c} is not a positive coroot plus a simple one"
+            )
+    return tuple(chain)
+
+
 class RootSystem:
     """Immutable bundle of Cartan data for one irreducible root system.
 
@@ -204,6 +235,8 @@ class RootSystem:
             tuple(sum(map(mul, cor, w)) for cor in self.pos_coroots)
             for w in self.pos_root_weights
         )
+        # what ``kernel.pairings`` reads in place of ``pos_coroots``
+        self._coroot_chain = _coroot_chain(self.pos_coroots)
 
         dominant = [
             i for i, cw in enumerate(self.pos_root_weights) if all(c >= 0 for c in cw)
@@ -397,8 +430,9 @@ def dominant_rep(rs: RootSystem, weight: Weight) -> tuple[Weight, WeylWord]:
 
     Returns ``(dom, w)``: ``dom`` is the unique dominant weight in the
     Weyl orbit of ``weight``, and ``apply_word(rs, w, dom) == weight``.
-    The word is built greedily: reflect at the smallest negative
-    coordinate until dominant, then reverse the reflected nodes.  It is
+    The word is built greedily: reflect at the first (lowest-index)
+    negative coordinate until dominant, then reverse the reflected
+    nodes; ``_iter_orbit``'s parent map is this same rule.  The word is
     reduced (its length is the number of positive roots pairing
     negatively with ``weight``); minimality is pinned by the
     inversion-count tests.

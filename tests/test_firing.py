@@ -717,4 +717,4 @@ def test_step_budget_guard():
 
     lo, hi = _bounds(rs, TR1)
     with pytest.raises(errors.StepBudgetError):
-        kernel.stabilize(kernel.pairings(rs.pos_coroots, (0, 0)), rs.pos_gram, lo, hi, 1)
+        kernel.stabilize(kernel.pairings(rs._coroot_chain, (0, 0)), rs.pos_gram, lo, hi, 1)

@@ -7,7 +7,7 @@ import pytest
 
 from rootfire import errors, kernel
 from rootfire.firing import FiringParams, _bounds, stabilize_trace
-from rootfire.rootsys import from_spec
+from rootfire.rootsys import _coroot_chain, from_spec
 from test_rootsys import CLASSIFICATION
 
 
@@ -24,7 +24,7 @@ def test_splitmix64_matches_published_stream():
 def _stabilize(rs, v, lo, hi, budget, seed=None):
     """The kernel on one weight, with the sink read off the final pairings."""
     final, steps = kernel.stabilize(
-        kernel.pairings(rs.pos_coroots, v), rs.pos_gram, lo, hi, budget, seed
+        kernel.pairings(rs._coroot_chain, v), rs.pos_gram, lo, hi, budget, seed
     )
     return tuple(final[i] for i in rs.simple_positions), steps
 
@@ -110,6 +110,42 @@ def _oracle_weights(rs):
     rng = random.Random(rs.spec)
     draws = max(1, 120 // len(rs.pos_roots))
     return [tuple(rng.randint(-1, 1) for _ in range(rs.rank)) for _ in range(draws)]
+
+
+@pytest.mark.parametrize("spec", sorted(CLASSIFICATION))
+def test_chain_pairings_match_the_matrix_form(spec):
+    # the chain's one addition per root against the m * r multiply-adds,
+    # exact far past any machine word
+    rs = from_spec(spec)
+    big = 10**30
+    weights = _oracle_weights(rs) + [
+        tuple(big * x for x in v) for v in _oracle_weights(rs)
+    ] + [(big,) * rs.rank, (-big,) * rs.rank]
+    for v in weights:
+        assert kernel.pairings(rs._coroot_chain, v) == _reference_pairings(rs, v), v
+
+
+@pytest.mark.parametrize("spec", sorted(CLASSIFICATION))
+def test_the_coroot_chain_covers_every_root_once(spec):
+    rs = from_spec(spec)
+    m = len(rs.pos_coroots)
+    zero = (0,) * rs.rank
+    done = {m: zero}
+    for i, parent, j in rs._coroot_chain:
+        # parents come first, and the step to i is one simple coroot
+        assert i not in done and parent in done
+        step = tuple(int(k == j) for k in range(rs.rank))
+        assert rs.pos_coroots[i] == tuple(map(sum, zip(done[parent], step)))
+        done[i] = rs.pos_coroots[i]
+    assert sorted(done) == list(range(m + 1))
+
+
+def test_a_coroot_without_a_parent_is_refused():
+    # A3 without the coroots (1, 1, 0) and (0, 1, 1): (1, 1, 1) less any
+    # simple coroot is then no coroot of the list
+    coroots = [c for c in from_spec("A3").pos_coroots if c not in ((1, 1, 0), (0, 1, 1))]
+    with pytest.raises(errors.InvariantViolationError, match=r"\(1, 1, 1\)"):
+        _coroot_chain(coroots)
 
 
 def _oracle_params(rs):
@@ -208,7 +244,7 @@ def test_seeds_outside_64_bits_are_refused(monkeypatch):
     monkeypatch.setattr(kernel, "_MEMOS", {})
     rs = from_spec("A2")
     lo, hi = _bounds(rs, FiringParams.make("sym", 1))
-    pair = kernel.pairings(rs.pos_coroots, (-3, 1))
+    pair = kernel.pairings(rs._coroot_chain, (-3, 1))
     for seed in (-1, 2**64, -(2**64) - 1):
         with pytest.raises(errors.PreconditionError) as exc:
             kernel.stabilize(pair, rs.pos_gram, lo, hi, 100, seed)
@@ -245,7 +281,7 @@ def test_limit_and_budget_share_one_bound():
     # the budget; a limit past the run's end changes nothing
     rs = from_spec("B2")
     lo, hi = _bounds(rs, FiringParams.make("tr", 2))
-    pair, gram = kernel.pairings(rs.pos_coroots, (-3, 2)), rs.pos_gram
+    pair, gram = kernel.pairings(rs._coroot_chain, (-3, 2)), rs.pos_gram
     for seed in (None, 12345):
         final, steps = kernel.stabilize(pair, gram, lo, hi, 10**6, seed)
         assert steps >= 3

@@ -8,6 +8,7 @@ from operator import add, mul
 import pytest
 
 from rootfire import errors, polytope
+from rootfire.firing import FiringParams, fiber
 from rootfire.polytope import (
     DiscretePermutohedron,
     enumerate_perm,
@@ -17,7 +18,7 @@ from rootfire.polytope import (
     traverse_bruteforce,
     traverse_formula,
 )
-from rootfire.rootsys import from_spec, root_order_leq, weyl_orbit
+from rootfire.rootsys import RootSystem, dominant, from_spec, root_order_leq, weyl_orbit
 from test_rootsys import CLASSIFICATION
 
 
@@ -45,6 +46,57 @@ def test_enumerate_perm_agrees_with_membership():
         assert set(perm.points) <= set(box)
         members = {w for w in box if perm_contains(rs, lam, w)}
         assert members == set(perm.points)
+
+
+@pytest.mark.parametrize("spec", ["A2", "B2", "G2", "A3", "B3", "C3"])
+def test_perm_contains_memo_matches_the_root_order_test(spec):
+    # every center in [0, 2]^rank against a coordinate box holding points
+    # of every lattice coset (four on A3), twice: the second pass must be
+    # served from the memo alone
+    rs = from_spec(spec)
+    span = 3 if rs.rank == 2 else 2
+    box = list(product(range(-span, span + 1), repeat=rs.rank))
+    f = rs.index_of_connection
+    assert len({tuple(x % f for x in rs.root_coords(mu)) for mu in box}) == f
+    want = {
+        (lam, mu): root_order_leq(rs, dominant(rs, mu), lam)
+        for lam in product(range(3), repeat=rs.rank)
+        for mu in box
+    }
+    assert True in want.values() and False in want.values()
+    polytope._below.cache_clear()
+    assert {key: perm_contains(rs, *key) for key in want} == want
+    first = polytope._below.cache_info()
+    assert {key: perm_contains(rs, *key) for key in want} == want
+    second = polytope._below.cache_info()
+    assert second.misses == first.misses and second.hits == first.hits + len(want)
+
+
+def test_the_membership_memo_is_bounded():
+    # more distinct dominant representatives than the memo holds
+    rs = from_spec("A2")
+    size = polytope._below.cache_info().maxsize
+    assert isinstance(size, int) and size > 0
+    side = int(size**0.5) + 2
+    polytope._below.cache_clear()
+    for mu in product(range(side), repeat=2):
+        perm_contains(rs, (side, side), mu)
+    assert polytope._below.cache_info().currsize == size < side * side
+
+
+def test_root_coords_runs_once_per_dominant_representative_of_a_fiber(monkeypatch):
+    rs = from_spec("A3")
+    seen = []
+    root_coords = RootSystem.root_coords
+
+    def counted(self, weight):
+        seen.append(tuple(weight))
+        return root_coords(self, weight)
+
+    monkeypatch.setattr(RootSystem, "root_coords", counted)
+    polytope._below.cache_clear()
+    members = fiber(rs, (0, 0, 0), FiringParams.make("sym", 2))
+    assert len(seen) == len({dominant(rs, v) for v in members}) < len(members)
 
 
 def test_enumerate_perm_is_weyl_stable():
@@ -317,6 +369,7 @@ ORACLE_CMAX = {
 }
 
 
+# the slice search of ``traverse_bruteforce`` against the full scan
 @pytest.mark.parametrize("spec", list(ORACLE_CMAX))
 def test_traverse_keys_match_the_tuple_scan(spec):
     rs = from_spec(spec)
@@ -325,11 +378,12 @@ def test_traverse_keys_match_the_tuple_scan(spec):
         assert traverse_bruteforce(rs, lam) == want, (spec, lam)
 
 
-def test_traverse_keys_leave_room_for_the_root_steps(monkeypatch):
-    # G2's first positive root steps by (-3, 2), more than any coordinate
-    # of these doctored points; a radix of 2 * 2 + 1 = 5 without the
-    # root-step padding would give (0, 0) + (-3, 2) the key -3 + 2 * 5 = 7,
-    # which is the key of the point (2, 1), and miss the top (0, 0)
+def test_traverse_bruteforce_tops_every_root_step_off_the_set(monkeypatch):
+    # a doctored set of the origin and (2, 1), which is no root step from
+    # it: the slice of (0, 0) is the origin alone, so each ±β from it
+    # (G2's first positive root steps by (-3, 2), past every coordinate
+    # of the set) leaves the set, is a top pairing to 0, and every length
+    # is 0; a point of the set off the origin's root steps hides no top
     g2 = from_spec("G2")
     assert g2.pos_root_weights[0] == (-3, 2)
     points = ((0, 0), (2, 1))
