@@ -228,29 +228,26 @@ def stabilize_trace(
     ``seed=None`` fires the first fireable root in positive-root order;
     a seed fires roots in a seeded-random order.  In either order,
     ``limit`` ends the run after that many firings, at the weight then
-    reached.  The step budget is a crude quadratic-potential bound;
-    exceeding it signals a bug.
+    reached.
     """
     if limit is not None and limit < 0:
         raise PreconditionError(f"a firing limit must be nonnegative, got {limit}")
-    final, steps = _stabilizer(rs, weight, params)(seed, limit)
+    pair, lo, hi, budget = _kernel_inputs(rs, weight, params)
+    final, steps = kernel.stabilize(pair, rs.pos_gram, lo, hi, budget, seed, limit)
     return tuple(final[i] for i in rs.simple_positions), steps
 
 
-def _stabilizer(rs: RootSystem, weight: Weight, params: FiringParams):
-    """The kernel bound to one weight: seed -> (final pairing vector, steps).
+def _kernel_inputs(rs: RootSystem, weight: Weight, params: FiringParams):
+    """A weight's kernel inputs: (pairings, lo bounds, hi bounds, step budget).
 
-    The initial pairings and the step budget depend only on the weight
-    and the parameters, so repeated firing orders share them.
+    The step budget is a crude quadratic-potential bound; exceeding it
+    signals a bug.
     """
     _require_stabilizing(params)
     lo, hi = _bounds(rs, params)
     pair = kernel.pairings(rs._coroot_chain, weight)
     reach = max(map(abs, pair), default=0)
-    budget = 4 * len(pair) * (reach + params.k_max() + 2) ** 2
-    return lambda seed, limit=None: kernel.stabilize(
-        pair, rs.pos_gram, lo, hi, budget, seed, limit
-    )
+    return pair, lo, hi, 4 * len(pair) * (reach + params.k_max() + 2) ** 2
 
 
 def stabilize(
@@ -289,17 +286,18 @@ def check_confluence_random(
     """Whether ``trials`` independent random firing orders agree.
 
     The orders use the seeds ``seed`` to ``seed + trials - 1``, each of
-    which must lie in [0, 2**64).  Final pairing vectors are compared
-    directly: they are equal exactly when the sinks are.  A weight whose
-    first order fires nothing is a sink, from which every order is
-    empty, so the other orders are not fired.
+    which must lie in [0, 2**64), and are fired in one kernel call that
+    shares its successor table among them.  Final pairing vectors are
+    compared directly: they are equal exactly when the sinks are.
     """
     if trials < 2:
         raise PreconditionError("need at least two trials")
     kernel.require_seeds(seed, trials)
-    run = _stabilizer(rs, weight, params)
-    first, steps = run(seed)
-    return steps == 0 or all(run(seed + t)[0] == first for t in range(1, trials))
+    pair, lo, hi, budget = _kernel_inputs(rs, weight, params)
+    runs = kernel.stabilize_orders(
+        pair, rs.pos_gram, lo, hi, budget, range(seed, seed + trials)
+    )
+    return len({final for final, _ in runs}) == 1
 
 
 # -- connected components and fibers ----------------------------------------

@@ -13,20 +13,30 @@ order draws from splitmix64, so a given seed fires the same roots on
 every platform.  Either order can also stop early, after a caller's
 ``limit`` of firings.
 
+``stabilize_orders`` fires several seeded orders from one weight in one
+call (``verify confluence`` fires ``trials`` of them from every weight
+of a box).  Those orders walk the same small forward closure, so the
+call keeps one successor table: each pairing vector reached maps to the
+vectors one firing away, one per fireable root in positive-root order,
+found the first time any order reaches it.  A firing is then a table
+lookup and a draw.  The table lives for the one call; nothing is kept
+between weights.  A one-seed ``stabilize`` is a one-seed call of it, so
+the seeded firing rule has one home.
+
 Seeds are integers in [0, 2**64); any other seed is refused, never
 reduced.  splitmix64's state after n steps is seed + n * gamma mod 2**64,
 so the n-th draw of a seed is a pure function of the seed and n
 (``_draw``).  Every run of one seed reads the same stream from its
-start, and a process typically replays a few seeds over many weights
-(``verify confluence`` fires every weight of a box with the same
-``trials`` seeds), so the seeded loop mixes each draw once: ``_MEMOS``
+start, and a process typically replays a few seeds over many weights,
+so the seeded loop mixes each draw once: ``_MEMOS``
 keeps the first ``_MEMO_DRAWS`` draws of each of the first
 ``_MEMO_SEEDS`` seeds it sees, filled as runs reach them.  An entry only
 ever receives its one value, so runs of any length, in any order or
 thread, read the same draws.  Later seeds, and steps past the memo,
-draw live, advancing the state one step per draw.  The memo holds at most ``_MEMO_SEEDS * _MEMO_DRAWS`` draws
-(~0.7 MB at 256 * 64) and never evicts: an evicting cache would thrash
-once the trials outnumber its slots.
+draw live, advancing the state one step per draw.  The memo holds at
+most ``_MEMO_SEEDS * _MEMO_DRAWS`` draws (~0.7 MB at 256 * 64) and never
+evicts: an evicting cache would thrash once the trials outnumber its
+slots.
 """
 
 from __future__ import annotations
@@ -87,6 +97,19 @@ def pairings(chain, coords):
     return p
 
 
+def _cut(budget, limit):
+    """The step count a run stops at: its ``limit``, or one firing past the budget.
+
+    One bound test per firing then serves both: a run that reaches
+    ``budget + 1`` steps has overrun its budget.
+    """
+    return budget + 1 if limit is None else min(limit, budget + 1)
+
+
+def _overrun(budget):
+    return StepBudgetError(f"stabilization exceeded its step budget of {budget}")
+
+
 def stabilize(pair, gram, lo, hi, budget, seed=None, limit=None):
     """Fire until stable; returns (final pairing vector, number of steps).
 
@@ -94,24 +117,51 @@ def stabilize(pair, gram, lo, hi, budget, seed=None, limit=None):
     ``gram[i]`` to it.  ``lo``/``hi`` are the per-root closed
     fireability bounds on the coroot pairing.  ``seed=None`` selects the
     first fireable root in positive-root order; otherwise roots are
-    drawn with splitmix64 from a seed in [0, 2**64).  ``limit`` ends the
-    run after that many firings, stable or not, in either order.
+    drawn with splitmix64 from a seed in [0, 2**64), as one order of
+    ``stabilize_orders``.  ``limit`` ends the run after that many
+    firings, stable or not, in either order.
     """
+    if seed is not None:
+        return stabilize_orders(pair, gram, lo, hi, budget, (seed,), limit)[0]
     p = list(pair)
     m = len(p)
     steps = 0
-    # one bound test per firing: the budget is overrun at budget + 1 steps
-    cut = budget + 1 if limit is None else min(limit, budget + 1)
-    if seed is None:
-        while steps < cut:
-            for j in range(m):
-                if lo[j] <= p[j] <= hi[j]:
-                    break
-            else:
+    cut = _cut(budget, limit)
+    while steps < cut:
+        for j in range(m):
+            if lo[j] <= p[j] <= hi[j]:
                 break
-            p = list(map(add, p, gram[j]))
-            steps += 1
-    else:
+        else:
+            break
+        p = list(map(add, p, gram[j]))
+        steps += 1
+    if steps > budget:
+        raise _overrun(budget)
+    return tuple(p), steps
+
+
+def _successors(p, gram, lo, hi):
+    """The vectors one firing from ``p``, one per fireable root, in root order."""
+    # a tuple built from a list: tuple(map(...)) leaves more memory held
+    return [
+        tuple([*map(add, p, gram[j])]) for j, x in enumerate(p) if lo[j] <= x <= hi[j]
+    ]
+
+
+def stabilize_orders(pair, gram, lo, hi, budget, seeds, limit=None):
+    """One seeded-random order per seed; a list of (final pairing vector, steps).
+
+    The other arguments are those of ``stabilize``.  ``seeds`` are in
+    [0, 2**64), and the i-th result is ``stabilize``'s for the i-th seed.
+    The orders share one successor table for the call: each pairing
+    vector's fireable roots are found once, however many orders pass
+    through it.
+    """
+    cut = _cut(budget, limit)
+    start = tuple(pair)
+    succ = {}
+    runs = []
+    for seed in seeds:
         require_seeds(seed)
         memo = _MEMOS.get(seed, ())
         if not memo and len(_MEMOS) < _MEMO_SEEDS:
@@ -119,9 +169,12 @@ def stabilize(pair, gram, lo, hi, budget, seed=None, limit=None):
         held = len(memo)
         # the generator's state before draw `held`, the first one drawn live
         state = (seed + held * _GAMMA) & _MASK
+        p, steps = start, 0
         while steps < cut:
-            fireable = [j for j in range(m) if lo[j] <= p[j] <= hi[j]]
-            if not fireable:
+            nexts = succ.get(p)
+            if nexts is None:
+                nexts = succ[p] = _successors(p, gram, lo, hi)
+            if not nexts:
                 break
             if steps < held:
                 z = memo[steps]
@@ -130,8 +183,9 @@ def stabilize(pair, gram, lo, hi, budget, seed=None, limit=None):
             else:
                 state = (state + _GAMMA) & _MASK
                 z = _mix(state)
-            p = list(map(add, p, gram[fireable[z % len(fireable)]]))
+            p = nexts[z % len(nexts)]
             steps += 1
-    if steps > budget:
-        raise StepBudgetError(f"stabilization exceeded its step budget of {budget}")
-    return tuple(p), steps
+        if steps > budget:
+            raise _overrun(budget)
+        runs.append((p, steps))
+    return runs

@@ -490,7 +490,7 @@ def test_confluence_seeds_stay_in_64_bits(monkeypatch):
     a2, top = from_spec("A2"), 2**64 - 1
     assert check_confluence_random(a2, (0, 0), SYM1, trials=2, seed=top - 1)
     calls = []
-    monkeypatch.setattr(kernel, "stabilize", lambda *args: calls.append(args))
+    monkeypatch.setattr(kernel, "stabilize_orders", lambda *args: calls.append(args))
     for seed, trials in ((top, 2), (top - 1, 3), (-1, 2)):
         with pytest.raises(errors.PreconditionError) as exc:
             check_confluence_random(a2, (0, 0), SYM1, trials=trials, seed=seed)
@@ -499,24 +499,40 @@ def test_confluence_seeds_stay_in_64_bits(monkeypatch):
     assert calls == []
 
 
-def test_confluence_fires_one_order_from_a_sink(monkeypatch):
-    # from a sink the first order fires nothing and so would every other;
-    # a weight that fires fires all `trials` orders
+def test_confluence_fires_every_order_in_one_shared_call(monkeypatch):
+    # all `trials` seeds of a weight are drawn in one kernel call, and its
+    # successor table gains one state per `_successors` call: from a sink
+    # the table holds that sink alone and no order fires
     from rootfire import kernel
 
     a2, trials = from_spec("A2"), 7
-    real, calls = kernel.stabilize, []
+    real_orders, real_successors = kernel.stabilize_orders, kernel._successors
+    calls, states = [], []
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def orders(*args, **kwargs):
+        runs = real_orders(*args, **kwargs)
+        calls.append((list(args[5]), runs))
+        return runs
 
-    monkeypatch.setattr(kernel, "stabilize", counted)
-    for weight, fired in (((1, 1), 1), ((0, 0), trials)):
-        assert is_sink(a2, weight, SYM1) == (fired == 1)
+    def successors(p, *args):
+        states.append(p)
+        return real_successors(p, *args)
+
+    monkeypatch.setattr(kernel, "stabilize_orders", orders)
+    monkeypatch.setattr(kernel, "_successors", successors)
+    for weight, sink in (((1, 1), True), ((0, 0), False)):
+        assert is_sink(a2, weight, SYM1) == sink
         calls.clear()
+        states.clear()
         assert check_confluence_random(a2, weight, SYM1, trials=trials, seed=5)
-        assert len(calls) == fired
+        [(seeds, runs)] = calls
+        assert seeds == list(range(5, 5 + trials))
+        if sink:
+            assert states == [tuple(kernel.pairings(a2._coroot_chain, weight))]
+            assert {steps for _, steps in runs} == {0}
+        else:
+            assert len(states) == len(set(states)) > 1
+            assert min(steps for _, steps in runs) > 0
 
 
 def test_central_sinks():

@@ -6,7 +6,12 @@ from itertools import product
 import pytest
 
 from rootfire import errors, kernel
-from rootfire.firing import FiringParams, _bounds, stabilize_trace
+from rootfire.firing import (
+    FiringParams,
+    _bounds,
+    reachable_central_sinks,
+    stabilize_trace,
+)
 from rootfire.rootsys import _coroot_chain, from_spec
 from test_rootsys import CLASSIFICATION
 
@@ -193,6 +198,72 @@ def test_incremental_kernel_matches_recompute_oracle(spec):
                 _matches_reference(rs, v, params, seed)
 
 
+# one call's seeds: at the start and the top of the seed range, and more
+# of them than a shrunken memo holds
+SHARED_SEEDS = (0, 1, 2, 12345, 2**64 - 2, 2**64 - 1)
+
+
+def _orders_match_reference(rs, v, params, seeds):
+    """Check one multi-seed call against the reference; returns its runs.
+
+    Each seed's (final pairing vector, steps) must be the reference's,
+    and a one-seed ``kernel.stabilize`` run's.
+    """
+    lo, hi = _bounds(rs, params)
+    budget = _reference_budget(rs, v, params)
+    pair = kernel.pairings(rs._coroot_chain, v)
+    runs = kernel.stabilize_orders(pair, rs.pos_gram, lo, hi, budget, seeds)
+    assert len(runs) == len(seeds)
+    for seed, run in zip(seeds, runs):
+        sink, steps, _ = _reference_stabilize(
+            v, rs.pos_root_weights, rs.pos_coroots, lo, hi, budget, seed
+        )
+        case = (rs.spec, params, v, seed)
+        assert run == (tuple(_reference_pairings(rs, sink)), steps), case
+        assert kernel.stabilize(pair, rs.pos_gram, lo, hi, budget, seed) == run, case
+    return runs
+
+
+@pytest.mark.parametrize("spec", sorted(s for s in CLASSIFICATION if int(s[1:]) <= 4))
+def test_shared_table_orders_match_recompute_oracle(monkeypatch, spec):
+    # a memo of 2 seeds x 1 draw: most seeds draw live, and orders that
+    # fire twice run past the memo
+    monkeypatch.setattr(kernel, "_MEMOS", {})
+    monkeypatch.setattr(kernel, "_MEMO_SEEDS", 2)
+    monkeypatch.setattr(kernel, "_MEMO_DRAWS", 1)
+    rs = from_spec(spec)
+    longest = 0
+    for params in _oracle_params(rs):
+        for v in _oracle_weights(rs):
+            runs = _orders_match_reference(rs, v, params, SHARED_SEEDS)
+            longest = max(longest, *(steps for _, steps in runs))
+    assert len(kernel._MEMOS) == 2
+    assert longest > kernel._MEMO_DRAWS
+
+
+def test_shared_table_orders_past_the_memo_match_the_reference(monkeypatch):
+    monkeypatch.setattr(kernel, "_MEMOS", {})
+    rs = from_spec("B2")
+    runs = _orders_match_reference(rs, *LONG_RUN, SHARED_SEEDS)
+    assert min(steps for _, steps in runs) > kernel._MEMO_DRAWS
+
+
+@pytest.mark.parametrize("spec", ["A2", "A4", "C3", "D4"])
+def test_shared_table_keeps_distinct_orders_apart(spec):
+    # central firing is not confluent: orders sharing one table must still
+    # reach several sinks, each one reachable from 0
+    rs = from_spec(spec)
+    m = len(rs.pos_roots)
+    zero = (0,) * rs.rank
+    runs = kernel.stabilize_orders(
+        kernel.pairings(rs._coroot_chain, zero), rs.pos_gram, (0,) * m, (0,) * m,
+        10**6, range(40),
+    )
+    sinks = {tuple(final[i] for i in rs.simple_positions) for final, _ in runs}
+    assert len(sinks) > 1
+    assert sinks <= set(reachable_central_sinks(rs, zero))
+
+
 def test_draws_by_index_match_the_stream():
     # draw n of a seed is the n-th output of iterating the generator from
     # the seed, past the memo's length and at the top of the seed range
@@ -290,3 +361,17 @@ def test_limit_and_budget_share_one_bound():
             with pytest.raises(errors.StepBudgetError):
                 kernel.stabilize(pair, gram, lo, hi, budget, seed, budget + 1)
         assert kernel.stabilize(pair, gram, lo, hi, steps, seed, steps + 5) == (final, steps)
+    # the shared table cuts and overruns each order at the same bound as a
+    # one-seed run: a call overruns exactly when one of its orders does
+    seeds = (12345, 7, 2**64 - 1)
+    longest = max(kernel.stabilize(pair, gram, lo, hi, 10**6, s)[1] for s in seeds)
+    for budget in range(longest + 1):
+        for limit in (None, budget, budget + 1):
+            args = (pair, gram, lo, hi, budget)
+            try:
+                want = [kernel.stabilize(*args, s, limit) for s in seeds]
+            except errors.StepBudgetError as exc:
+                with pytest.raises(errors.StepBudgetError, match=str(exc)):
+                    kernel.stabilize_orders(*args, seeds, limit)
+            else:
+                assert kernel.stabilize_orders(*args, seeds, limit) == want
