@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
-from operator import add, sub
+from operator import add, itemgetter, sub
 from typing import Iterable, Literal
 
 from . import kernel
@@ -230,6 +230,7 @@ def stabilize_trace(
     ``limit`` ends the run after that many firings, at the weight then
     reached.
     """
+    _require_stabilizing(params)
     if limit is not None and limit < 0:
         raise PreconditionError(f"a firing limit must be nonnegative, got {limit}")
     pair, lo, hi, budget = _kernel_inputs(rs, weight, params)
@@ -241,9 +242,9 @@ def _kernel_inputs(rs: RootSystem, weight: Weight, params: FiringParams):
     """A weight's kernel inputs: (pairings, lo bounds, hi bounds, step budget).
 
     The step budget is a crude quadratic-potential bound; exceeding it
-    signals a bug.
+    signals a bug.  Central firing has inputs too, for ``reachable_sinks``;
+    the callers that stabilize refuse it themselves.
     """
-    _require_stabilizing(params)
     lo, hi = _bounds(rs, params)
     pair = kernel.pairings(rs._coroot_chain, weight)
     reach = max(map(abs, pair), default=0)
@@ -276,6 +277,16 @@ def stabilization_label(
     return lab
 
 
+def require_trials(trials: int, seed: int) -> None:
+    """Refuse fewer than two trials, or any of their seeds outside [0, 2**64).
+
+    The trials use the seeds ``seed`` to ``seed + trials - 1``.
+    """
+    if trials < 2:
+        raise PreconditionError("need at least two trials")
+    kernel.require_seeds(seed, trials)
+
+
 def check_confluence_random(
     rs: RootSystem,
     weight: Weight,
@@ -283,21 +294,109 @@ def check_confluence_random(
     trials: int,
     seed: int,
 ) -> bool:
-    """Whether ``trials`` independent random firing orders agree.
+    """Whether ``trials`` seeded-random firing orders from ``weight`` agree.
 
-    The orders use the seeds ``seed`` to ``seed + trials - 1``, each of
-    which must lie in [0, 2**64), and are fired in one kernel call that
-    shares its successor table among them.  Final pairing vectors are
-    compared directly: they are equal exactly when the sinks are.
+    A sample, not a proof: ``reachable_sinks`` certifies every order at
+    once, and ``verify confluence`` fires orders only from weights that
+    can reach two sinks, where they may disagree.  The orders use the
+    seeds ``seed`` to ``seed + trials - 1`` (see ``require_trials``) and
+    are fired in one kernel call that shares its successor table among
+    them.  Final pairing vectors are compared directly: they are equal
+    exactly when the sinks are.
     """
-    if trials < 2:
-        raise PreconditionError("need at least two trials")
-    kernel.require_seeds(seed, trials)
+    _require_stabilizing(params)
+    require_trials(trials, seed)
     pair, lo, hi, budget = _kernel_inputs(rs, weight, params)
     runs = kernel.stabilize_orders(
         pair, rs.pos_gram, lo, hi, budget, range(seed, seed + trials)
     )
     return len({final for final, _ in runs}) == 1
+
+
+# a weight's memo entry while its successors are walked; a finished entry
+# packs (longest firing sequence << _SHIFT) | (index of its sink set)
+_ON_STACK = -1
+_SHIFT = 32
+
+
+def reachable_sinks(
+    rs: RootSystem, params: FiringParams, starts: Iterable[Weight]
+) -> list[tuple[Weight, ...]]:
+    """For each start, the sorted sinks that some firing order reaches from it.
+
+    One memoized post-order walk of the forward closure of ``starts``, on
+    pairing vectors, shared by every start of the call.  A sink reaches
+    itself alone; any other weight reaches the union of what its
+    successors reach, and their one tuple when they all share it.  One
+    sink proves that every firing order from the start ends there, which
+    no sample of orders does.  The walk keeps the seeded kernel's checks:
+    the memo stops at the point cap; a successor still being walked is a
+    cycle, which terminating firing never has; and each start's longest
+    firing sequence, 1 + the longest over its successors, is held to the
+    start's step budget and overruns it as the kernel does.
+    """
+    lo, hi = _bounds(rs, params)
+    gram, successors = rs.pos_gram, kernel._successors
+    cap = point_cap()
+    # a vector's weight is its simple-root pairings, and keys the memo:
+    # weights and packed entries measured less peak memory than whole
+    # vectors and tuples
+    pick = itemgetter(*rs.simple_positions)
+    weight_of = pick if rs.rank > 1 else lambda v: (pick(v),)
+    memo: dict[Weight, int] = {}
+    sets: list[tuple[Weight, ...]] = []
+    index: dict[tuple[Weight, ...], int] = {}
+    low = (1 << _SHIFT) - 1
+
+    def frame(key, v):
+        """Weight ``key`` on the stack: its successors' weights, and those left to visit."""
+        nexts = successors(v, gram, lo, hi)
+        keys = [*map(weight_of, nexts)]
+        return key, keys, zip(keys, nexts)
+
+    def finish(key, keys):
+        if not keys:
+            sets.append((key,))
+            return len(sets) - 1
+        done = [memo[w] for w in keys]
+        ids = {x & low for x in done}
+        idx = ids.pop()
+        if ids:
+            found = tuple(sorted(set(sets[idx]).union(*(sets[i] for i in ids))))
+            idx = index.setdefault(found, len(sets))
+            if idx == len(sets):
+                sets.append(found)
+        return (((max(done) >> _SHIFT) + 1) << _SHIFT) | idx
+
+    picked = []
+    for start in starts:
+        pair, _, _, budget = _kernel_inputs(rs, start, params)
+        root = tuple(start)
+        if root not in memo:
+            memo[root] = _ON_STACK
+            stack = [frame(root, pair)]
+            while stack:
+                key, keys, todo = stack[-1]
+                for w_key, w in todo:
+                    got = memo.get(w_key)
+                    if got is None:
+                        memo[w_key] = _ON_STACK
+                        if len(memo) > cap:
+                            what = f"{params.short} firing from {start}"
+                            require_within_cap(len(memo), what)
+                        stack.append(frame(w_key, w))
+                        break
+                    if got == _ON_STACK:
+                        raise InvariantViolationError(
+                            f"{params.label()} firing from {start} runs in a cycle"
+                        )
+                else:
+                    stack.pop()
+                    memo[key] = finish(key, keys)
+        if memo[root] >> _SHIFT > budget:
+            raise kernel._overrun(budget)
+        picked.append(memo[root] & low)
+    return [sets[idx] for idx in picked]
 
 
 # -- connected components and fibers ----------------------------------------
@@ -477,27 +576,12 @@ def reachable_central_sinks(rs: RootSystem, weight: Weight) -> tuple[Weight, ...
 
     Central firing is not confluent in general, so there may be several
     sinks.  Its moves (pairing 0) are truncated k = 1 moves (pairing in
-    [-1, 0]), and truncated firing terminates, so the search is finite;
-    it stops at the point cap like every other search.
+    [-1, 0]), and truncated firing terminates, so the walk of
+    ``reachable_sinks`` is finite; it stops at the point cap like every
+    other search.
     """
-    params = FiringParams(kind="central")
-    cap = point_cap()
-    start = tuple(weight)
-    seen = {start}
-    queue = deque([start])
-    sinks = []
-    while queue:
-        v = queue.popleft()
-        outs = neighbors(rs, v, params)
-        if not outs:
-            sinks.append(v)
-        for w, _ in outs:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-                if len(seen) > cap:
-                    require_within_cap(len(seen), f"central firing from {weight}")
-    return tuple(sorted(sinks))
+    [sinks] = reachable_sinks(rs, FiringParams(kind="central"), [weight])
+    return sinks
 
 
 # -- Weyl and lattice symmetries of the graphs --------------------------------

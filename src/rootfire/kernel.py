@@ -14,29 +14,20 @@ every platform.  Either order can also stop early, after a caller's
 ``limit`` of firings.
 
 ``stabilize_orders`` fires several seeded orders from one weight in one
-call (``verify confluence`` fires ``trials`` of them from every weight
-of a box).  Those orders walk the same small forward closure, so the
-call keeps one successor table: each pairing vector reached maps to the
+call.  Those orders walk the same small forward closure, so the call
+keeps one successor table: each pairing vector reached maps to the
 vectors one firing away, one per fireable root in positive-root order,
 found the first time any order reaches it.  A firing is then a table
 lookup and a draw.  The table lives for the one call; nothing is kept
 between weights.  A one-seed ``stabilize`` is a one-seed call of it, so
-the seeded firing rule has one home.
+the seeded firing rule has one home.  ``verify confluence`` fires
+seeded orders only from weights that can reach two sinks: it first
+certifies every order at once by a memoized walk of the forward closure
+(``firing.reachable_sinks``), which reads ``_successors`` too.
 
 Seeds are integers in [0, 2**64); any other seed is refused, never
-reduced.  splitmix64's state after n steps is seed + n * gamma mod 2**64,
-so the n-th draw of a seed is a pure function of the seed and n
-(``_draw``).  Every run of one seed reads the same stream from its
-start, and a process typically replays a few seeds over many weights,
-so the seeded loop mixes each draw once: ``_MEMOS``
-keeps the first ``_MEMO_DRAWS`` draws of each of the first
-``_MEMO_SEEDS`` seeds it sees, filled as runs reach them.  An entry only
-ever receives its one value, so runs of any length, in any order or
-thread, read the same draws.  Later seeds, and steps past the memo,
-draw live, advancing the state one step per draw.  The memo holds at
-most ``_MEMO_SEEDS * _MEMO_DRAWS`` draws (~0.7 MB at 256 * 64) and never
-evicts: an evicting cache would thrash once the trials outnumber its
-slots.
+reduced.  Each order draws live from its seed's splitmix64 stream,
+advancing the state one step per draw.
 """
 
 from __future__ import annotations
@@ -50,10 +41,6 @@ BACKEND = "pure"
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
-_MEMO_DRAWS = 64
-_MEMO_SEEDS = 256
-_MEMOS: dict[int, list[int | None]] = {}
-
 
 def _mix(z: int) -> int:
     """splitmix64's output function of one state."""
@@ -66,11 +53,6 @@ def splitmix64_next(state: int) -> tuple[int, int]:
     """One step of the splitmix64 generator: (new_state, output)."""
     state = (state + _GAMMA) & _MASK
     return state, _mix(state)
-
-
-def _draw(seed: int, n: int) -> int:
-    """The n-th output (from 0) of splitmix64 started at ``seed``."""
-    return _mix((seed + (n + 1) * _GAMMA) & _MASK)
 
 
 def require_seeds(first: int, count: int = 1) -> None:
@@ -163,12 +145,7 @@ def stabilize_orders(pair, gram, lo, hi, budget, seeds, limit=None):
     runs = []
     for seed in seeds:
         require_seeds(seed)
-        memo = _MEMOS.get(seed, ())
-        if not memo and len(_MEMOS) < _MEMO_SEEDS:
-            memo = _MEMOS[seed] = [None] * _MEMO_DRAWS
-        held = len(memo)
-        # the generator's state before draw `held`, the first one drawn live
-        state = (seed + held * _GAMMA) & _MASK
+        state = seed
         p, steps = start, 0
         while steps < cut:
             nexts = succ.get(p)
@@ -176,13 +153,7 @@ def stabilize_orders(pair, gram, lo, hi, budget, seeds, limit=None):
                 nexts = succ[p] = _successors(p, gram, lo, hi)
             if not nexts:
                 break
-            if steps < held:
-                z = memo[steps]
-                if z is None:
-                    z = memo[steps] = _draw(seed, steps)
-            else:
-                state = (state + _GAMMA) & _MASK
-                z = _mix(state)
+            state, z = splitmix64_next(state)
             p = nexts[z % len(nexts)]
             steps += 1
         if steps > budget:

@@ -86,6 +86,14 @@ def test_seeds_outside_64_bits_exit_1(capsys):
     assert err == "usage error: seeds must lie in [0, 2**64), got -1..23\n"
 
 
+def test_confluence_refuses_fewer_than_two_trials(capsys):
+    # refused before any weight is walked, though no weight of A2 needs an order
+    for trials in ("1", "0", "-3"):
+        code, out, err = run(capsys, "verify", "confluence", "A2", "--trials", trials)
+        assert (code, out) == (1, "")
+        assert err == "usage error: need at least two trials\n"
+
+
 def test_stabilize_output(capsys):
     code, out, _ = run(capsys, "stabilize", "A2", "sym", "1", "0,0")
     assert code == 0
@@ -489,9 +497,14 @@ def _escape_at_k1(real):
 
 # suite -> (module, function, stub built from the real function, lines it must print)
 FAILING_CHECKS = {
+    # every weight reaches two sinks; its seeded orders still agree
     "confluence": (
-        fi, "check_confluence_random", lambda real: lambda *a: False,
-        ["FAIL - A2 sym k=(0,0) box 2: 25 weights x 5 orders, 25 disagreements"],
+        fi, "reachable_sinks",
+        lambda real: lambda rs, params, starts: [((0, 0), (1, 1))] * len(starts),
+        [
+            "FAIL - A2 sym k=(0,0) box 2: 25 weights x 5 orders, 0 disagreements, "
+            "25 weights reach two or more sinks"
+        ],
     ),
     "sinks": (
         fi, "is_sink", lambda real: lambda *a: not real(*a),

@@ -29,6 +29,7 @@ from rootfire.firing import (
     neighbors,
     quotient_affine_image,
     reachable_central_sinks,
+    reachable_sinks,
     rho_of_k,
     stabilization_label,
     stabilize,
@@ -535,6 +536,105 @@ def test_confluence_fires_every_order_in_one_shared_call(monkeypatch):
             assert min(steps for _, steps in runs) > 0
 
 
+def _confluence_grid(rs):
+    """The rows of ``verify confluence``: k <= 1, and k <= 2 at rank <= 2."""
+    k_max = 2 if rs.rank <= 2 else 1
+    rows = [FiringParams.make(kind, k) for k in range(k_max + 1) for kind in ("sym", "tr")]
+    if not rs.simply_laced:
+        rows += [FiringParams.make("sym", 0, kl) for kl in range(1, k_max + 1)]
+    return [(params, coord_box(rs, 2 * params.k_max() + 2)) for params in rows]
+
+
+@pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2"])
+def test_every_order_reaches_the_sink_that_stabilize_reaches(spec):
+    # the certificate against the first-fireable order, which it does not
+    # fire: each weight of each row reaches one sink, and it is that one
+    rs = from_spec(spec)
+    for params, box in _confluence_grid(rs):
+        for w, sinks in zip(box, reachable_sinks(rs, params, box)):
+            assert sinks == (stabilize(rs, w, params),), (params, w)
+
+
+def test_the_walk_holds_every_order_to_the_step_budget(monkeypatch):
+    # a budget of 0 lets no weight fire: the certificate refuses the first
+    # weight that can, as a seeded order does
+    from rootfire import cli
+
+    real = firing._kernel_inputs
+
+    def no_budget(rs, weight, params):
+        return (*real(rs, weight, params)[:3], 0)
+
+    monkeypatch.setattr(firing, "_kernel_inputs", no_budget)
+    message = "stabilization exceeded its step budget of 0"
+    with pytest.raises(errors.StepBudgetError, match=message):
+        cli.main(["verify", "confluence", "A2", "--k", "0", "--trials", "2"])
+    with pytest.raises(errors.StepBudgetError, match=message):
+        stabilize(from_spec("A2"), (0, 0), SYM1, seed=3)
+    a2 = from_spec("A2")
+    assert reachable_sinks(a2, SYM1, [(1, 1)]) == [((1, 1),)]
+
+
+def test_a_successor_on_the_walk_is_a_cycle(monkeypatch):
+    from rootfire import kernel
+
+    real = kernel._successors
+    # every vector also fires back to itself
+    monkeypatch.setattr(kernel, "_successors", lambda p, *args: [*real(p, *args), p])
+    with pytest.raises(errors.InvariantViolationError, match=r"\(0, 0\) runs in a cycle"):
+        reachable_sinks(from_spec("A2"), SYM1, [(0, 0)])
+
+
+def test_a_doctored_bound_fails_the_certificate(monkeypatch, capsys):
+    # one more fireable pairing on the first root of A2 makes sym k=1 reach
+    # two sinks from some weights, which the good row must report
+    from rootfire import cli
+
+    real = firing._bounds
+
+    def wider(rs, params):
+        lo, hi = real(rs, params)
+        return lo, (hi[0] + 1, *hi[1:])
+
+    monkeypatch.setattr(firing, "_bounds", wider)
+    assert cli.main(["verify", "confluence", "A2", "--k", "1", "--trials", "10"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert any(
+        line.startswith("FAIL - A2 sym k=(1,1) box 4: 81 weights x 10 orders")
+        and line.endswith(" weights reach two or more sinks")
+        for line in lines
+    ), lines
+
+
+def test_confluence_fires_orders_only_where_two_sinks_are_reachable(monkeypatch, capsys):
+    from rootfire import cli
+
+    real_sinks, real_check = firing.reachable_sinks, firing.check_confluence_random
+    checked = []
+
+    def one_split(rs, params, starts):
+        found = real_sinks(rs, params, starts)
+        return [sinks + ((9, 9),) if w == (0, 0) else sinks for w, sinks in zip(starts, found)]
+
+    def check(rs, weight, *args):
+        checked.append(weight)
+        return real_check(rs, weight, *args)
+
+    monkeypatch.setattr(firing, "check_confluence_random", check)
+    assert cli.main(["verify", "confluence", "A2", "--k", "0", "--trials", "3"]) == 0
+    assert checked == []
+    monkeypatch.setattr(firing, "reachable_sinks", one_split)
+    assert cli.main(["verify", "confluence", "A2", "--k", "0", "--trials", "3"]) == 2
+    assert checked == [(0, 0), (0, 0)]
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "FAIL - A2 sym k=(0,0) box 2: 25 weights x 3 orders, 0 disagreements, "
+        "1 weights reach two or more sinks",
+        "FAIL - A2 tr k=(0,0) box 2: 25 weights x 3 orders, 0 disagreements, "
+        "1 weights reach two or more sinks",
+        "suite confluence on A2: FAIL",
+    ]
+
+
 def test_central_sinks():
     a1 = from_spec("A1")
     assert reachable_central_sinks(a1, (1,)) == ((1,),)
@@ -546,6 +646,22 @@ def test_central_sinks():
     with pytest.raises(errors.ResourceCapError) as exc, scoped_cap(2):
         reachable_central_sinks(a2, (0, 0))
     assert str(exc.value) == "central firing from (0, 0) exceeds the cap of 2 points"
+
+
+# sinks of central firing from 0; in A_{n-1} with n even there is exactly
+# one (Hopkins, McConville and Propp, Sorting via chip-firing, 2017)
+CENTRAL_SINKS_FROM_ZERO = {
+    "A1": 1, "A2": 3, "A3": 1, "A4": 12, "A5": 1,
+    "B2": 1, "B3": 1, "C3": 3, "D4": 11, "G2": 2,
+}
+
+
+@pytest.mark.parametrize("spec", sorted(CENTRAL_SINKS_FROM_ZERO))
+def test_central_sink_counts_from_zero(spec):
+    rs = from_spec(spec)
+    sinks = reachable_central_sinks(rs, rs.zero())
+    assert len(sinks) == CENTRAL_SINKS_FROM_ZERO[spec]
+    assert all(is_sink(rs, v, FiringParams(kind="central")) for v in sinks)
 
 
 def test_nonescape_good_and_known_failure():

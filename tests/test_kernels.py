@@ -198,8 +198,10 @@ def test_incremental_kernel_matches_recompute_oracle(spec):
                 _matches_reference(rs, v, params, seed)
 
 
-# one call's seeds: at the start and the top of the seed range, and more
-# of them than a shrunken memo holds
+# B2 sym k=30 from (-30, 0) fires at least 100 times in seeded order
+LONG_RUN = ((-30, 0), FiringParams.make("sym", 30))
+
+# one call's seeds: at the start and the top of the seed range
 SHARED_SEEDS = (0, 1, 2, 12345, 2**64 - 2, 2**64 - 1)
 
 
@@ -225,27 +227,21 @@ def _orders_match_reference(rs, v, params, seeds):
 
 
 @pytest.mark.parametrize("spec", sorted(s for s in CLASSIFICATION if int(s[1:]) <= 4))
-def test_shared_table_orders_match_recompute_oracle(monkeypatch, spec):
-    # a memo of 2 seeds x 1 draw: most seeds draw live, and orders that
-    # fire twice run past the memo
-    monkeypatch.setattr(kernel, "_MEMOS", {})
-    monkeypatch.setattr(kernel, "_MEMO_SEEDS", 2)
-    monkeypatch.setattr(kernel, "_MEMO_DRAWS", 1)
+def test_shared_table_orders_match_recompute_oracle(spec):
     rs = from_spec(spec)
     longest = 0
     for params in _oracle_params(rs):
         for v in _oracle_weights(rs):
             runs = _orders_match_reference(rs, v, params, SHARED_SEEDS)
             longest = max(longest, *(steps for _, steps in runs))
-    assert len(kernel._MEMOS) == 2
-    assert longest > kernel._MEMO_DRAWS
+    # some orders read their seed's stream past its first draw
+    assert longest > 1
 
 
-def test_shared_table_orders_past_the_memo_match_the_reference(monkeypatch):
-    monkeypatch.setattr(kernel, "_MEMOS", {})
+def test_shared_table_orders_past_the_memo_match_the_reference():
     rs = from_spec("B2")
     runs = _orders_match_reference(rs, *LONG_RUN, SHARED_SEEDS)
-    assert min(steps for _, steps in runs) > kernel._MEMO_DRAWS
+    assert min(steps for _, steps in runs) > 99
 
 
 @pytest.mark.parametrize("spec", ["A2", "A4", "C3", "D4"])
@@ -264,55 +260,14 @@ def test_shared_table_keeps_distinct_orders_apart(spec):
     assert sinks <= set(reachable_central_sinks(rs, zero))
 
 
-def test_draws_by_index_match_the_stream():
-    # draw n of a seed is the n-th output of iterating the generator from
-    # the seed, past the memo's length and at the top of the seed range
-    for seed in (0, 1, 12345, 2**64 - 1):
-        state = seed
-        for n in range(kernel._MEMO_DRAWS + 8):
-            state, z = kernel.splitmix64_next(state)
-            assert kernel._draw(seed, n) == z, (seed, n)
-
-
-# B2 sym k=30 from (-30, 0) fires over 100 times in seeded order; B2 tr
-# k=2 from (-3, 2) a few times
-LONG_RUN = ((-30, 0), FiringParams.make("sym", 30))
-SHORT_RUN = ((-3, 2), FiringParams.make("tr", 2))
-
-
-def test_seeded_runs_past_the_memo_match_the_reference(monkeypatch):
-    monkeypatch.setattr(kernel, "_MEMOS", {})
+def test_seeded_runs_past_the_memo_match_the_reference():
     rs = from_spec("B2")
     for seed in (1, 7):
-        assert _matches_reference(rs, *LONG_RUN, seed) > kernel._MEMO_DRAWS
-        memo = kernel._MEMOS[seed]
-        assert len(memo) == kernel._MEMO_DRAWS and None not in memo
+        assert _matches_reference(rs, *LONG_RUN, seed) > 99
 
 
-def test_seeds_past_the_memo_cap_draw_live(monkeypatch):
-    monkeypatch.setattr(kernel, "_MEMOS", {})
-    monkeypatch.setattr(kernel, "_MEMO_SEEDS", 2)
-    rs = from_spec("B2")
-    for seed in (1, 2, 3, 4):
-        _matches_reference(rs, *LONG_RUN, seed)
-    assert sorted(kernel._MEMOS) == [1, 2]
-
-
-@pytest.mark.parametrize("first", ["long", "short"])
-def test_long_and_short_runs_of_one_seed_share_its_memo(monkeypatch, first):
-    # the memo is filled as far as each run reaches, and either run may
-    # come first without putting the other's stream out of step
-    monkeypatch.setattr(kernel, "_MEMOS", {})
-    rs = from_spec("B2")
-    runs = [LONG_RUN, SHORT_RUN] if first == "long" else [SHORT_RUN, LONG_RUN]
-    for _ in range(2):
-        for v, params in runs:
-            _matches_reference(rs, v, params, 12345)
-
-
-def test_seeds_outside_64_bits_are_refused(monkeypatch):
+def test_seeds_outside_64_bits_are_refused():
     # no seed is reduced mod 2^64: -1 would alias 2^64 - 1
-    monkeypatch.setattr(kernel, "_MEMOS", {})
     rs = from_spec("A2")
     lo, hi = _bounds(rs, FiringParams.make("sym", 1))
     pair = kernel.pairings(rs._coroot_chain, (-3, 1))
@@ -320,7 +275,6 @@ def test_seeds_outside_64_bits_are_refused(monkeypatch):
         with pytest.raises(errors.PreconditionError) as exc:
             kernel.stabilize(pair, rs.pos_gram, lo, hi, 100, seed)
         assert str(exc.value) == f"seeds must lie in [0, 2**64), got {seed}"
-    assert kernel._MEMOS == {}
     assert kernel.stabilize(pair, rs.pos_gram, lo, hi, 100, 2**64 - 1)[1] > 0
 
 
