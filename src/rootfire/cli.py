@@ -314,7 +314,8 @@ def _suite_confluence(rs, args):
             many = f", {len(split)} weights reach two or more sinks" if split else ""
             yield not split, (
                 f"{rs.spec} {params.label()} box {2*k+2}: "
-                f"{len(box)} weights x {args.trials} orders, {fails} disagreements{many}"
+                f"{len(box)} weights, {len(split)} x {args.trials} orders fired, "
+                f"{fails} disagreements{many}"
             )
         else:
             # no guarantee without goodness; observed behaviour is reported only

@@ -299,18 +299,18 @@ def check_confluence_random(
     A sample, not a proof: ``reachable_sinks`` certifies every order at
     once, and ``verify confluence`` fires orders only from weights that
     can reach two sinks, where they may disagree.  The orders use the
-    seeds ``seed`` to ``seed + trials - 1`` (see ``require_trials``) and
-    are fired in one kernel call that shares its successor table among
-    them.  Final pairing vectors are compared directly: they are equal
-    exactly when the sinks are.
+    seeds ``seed`` to ``seed + trials - 1`` (see ``require_trials``),
+    one ``kernel.stabilize`` call each.  Final pairing vectors are
+    compared directly: they are equal exactly when the sinks are.
     """
     _require_stabilizing(params)
     require_trials(trials, seed)
     pair, lo, hi, budget = _kernel_inputs(rs, weight, params)
-    runs = kernel.stabilize_orders(
-        pair, rs.pos_gram, lo, hi, budget, range(seed, seed + trials)
-    )
-    return len({final for final, _ in runs}) == 1
+    finals = {
+        kernel.stabilize(pair, rs.pos_gram, lo, hi, budget, s)[0]
+        for s in range(seed, seed + trials)
+    }
+    return len(finals) == 1
 
 
 # a weight's memo entry while its successors are walked; a finished entry

@@ -9,21 +9,14 @@ move reads only pairings, and firing root i adds row i of the root
 system's pairing matrix (``RootSystem.pos_gram``) to the vector.
 A weight's coordinates are its pairings with the simple coroots, so the
 caller reads the sink off the final vector.  The seeded-random firing
-order draws from splitmix64, so a given seed fires the same roots on
-every platform.  Either order can also stop early, after a caller's
-``limit`` of firings.
+order draws from splitmix64 among the fireable roots in positive-root
+order, so a given seed fires the same roots on every platform.  Either
+order can also stop early, after a caller's ``limit`` of firings.
 
-``stabilize_orders`` fires several seeded orders from one weight in one
-call.  Those orders walk the same small forward closure, so the call
-keeps one successor table: each pairing vector reached maps to the
-vectors one firing away, one per fireable root in positive-root order,
-found the first time any order reaches it.  A firing is then a table
-lookup and a draw.  The table lives for the one call; nothing is kept
-between weights.  A one-seed ``stabilize`` is a one-seed call of it, so
-the seeded firing rule has one home.  ``verify confluence`` fires
-seeded orders only from weights that can reach two sinks: it first
-certifies every order at once by a memoized walk of the forward closure
-(``firing.reachable_sinks``), which reads ``_successors`` too.
+``verify confluence`` fires seeded orders, one ``stabilize`` call per
+seed, only from weights that can reach two sinks: it first certifies
+every order at once by a memoized walk of the forward closure
+(``firing.reachable_sinks``), which reads ``_successors``.
 
 Seeds are integers in [0, 2**64); any other seed is refused, never
 reduced.  Each order draws live from its seed's splitmix64 stream,
@@ -79,15 +72,6 @@ def pairings(chain, coords):
     return p
 
 
-def _cut(budget, limit):
-    """The step count a run stops at: its ``limit``, or one firing past the budget.
-
-    One bound test per firing then serves both: a run that reaches
-    ``budget + 1`` steps has overrun its budget.
-    """
-    return budget + 1 if limit is None else min(limit, budget + 1)
-
-
 def _overrun(budget):
     return StepBudgetError(f"stabilization exceeded its step budget of {budget}")
 
@@ -99,24 +83,33 @@ def stabilize(pair, gram, lo, hi, budget, seed=None, limit=None):
     ``gram[i]`` to it.  ``lo``/``hi`` are the per-root closed
     fireability bounds on the coroot pairing.  ``seed=None`` selects the
     first fireable root in positive-root order; otherwise roots are
-    drawn with splitmix64 from a seed in [0, 2**64), as one order of
-    ``stabilize_orders``.  ``limit`` ends the run after that many
-    firings, stable or not, in either order.
+    drawn with splitmix64 from a seed in [0, 2**64).  ``limit`` ends the
+    run after that many firings, stable or not, in either order.
     """
-    if seed is not None:
-        return stabilize_orders(pair, gram, lo, hi, budget, (seed,), limit)[0]
     p = list(pair)
     m = len(p)
     steps = 0
-    cut = _cut(budget, limit)
-    while steps < cut:
-        for j in range(m):
-            if lo[j] <= p[j] <= hi[j]:
+    # one bound test per firing: the budget is overrun at budget + 1 steps
+    cut = budget + 1 if limit is None else min(limit, budget + 1)
+    if seed is None:
+        while steps < cut:
+            for j in range(m):
+                if lo[j] <= p[j] <= hi[j]:
+                    break
+            else:
                 break
-        else:
-            break
-        p = list(map(add, p, gram[j]))
-        steps += 1
+            p = list(map(add, p, gram[j]))
+            steps += 1
+    else:
+        require_seeds(seed)
+        state = seed
+        while steps < cut:
+            fireable = [j for j, x in enumerate(p) if lo[j] <= x <= hi[j]]
+            if not fireable:
+                break
+            state, z = splitmix64_next(state)
+            p = list(map(add, p, gram[fireable[z % len(fireable)]]))
+            steps += 1
     if steps > budget:
         raise _overrun(budget)
     return tuple(p), steps
@@ -128,35 +121,3 @@ def _successors(p, gram, lo, hi):
     return [
         tuple([*map(add, p, gram[j])]) for j, x in enumerate(p) if lo[j] <= x <= hi[j]
     ]
-
-
-def stabilize_orders(pair, gram, lo, hi, budget, seeds, limit=None):
-    """One seeded-random order per seed; a list of (final pairing vector, steps).
-
-    The other arguments are those of ``stabilize``.  ``seeds`` are in
-    [0, 2**64), and the i-th result is ``stabilize``'s for the i-th seed.
-    The orders share one successor table for the call: each pairing
-    vector's fireable roots are found once, however many orders pass
-    through it.
-    """
-    cut = _cut(budget, limit)
-    start = tuple(pair)
-    succ = {}
-    runs = []
-    for seed in seeds:
-        require_seeds(seed)
-        state = seed
-        p, steps = start, 0
-        while steps < cut:
-            nexts = succ.get(p)
-            if nexts is None:
-                nexts = succ[p] = _successors(p, gram, lo, hi)
-            if not nexts:
-                break
-            state, z = splitmix64_next(state)
-            p = nexts[z % len(nexts)]
-            steps += 1
-        if steps > budget:
-            raise _overrun(budget)
-        runs.append((p, steps))
-    return runs

@@ -329,10 +329,10 @@ def test_confluence_suite_reports_non_good(capsys):
     code, out, _ = run(capsys, "verify", "confluence", "B2", "--k", "1", "--trials", "5")
     assert code == 0
     assert out == (
-        "ok - B2 sym k=(0,0) box 2: 25 weights x 5 orders, 0 disagreements\n"
-        "ok - B2 tr k=(0,0) box 2: 25 weights x 5 orders, 0 disagreements\n"
-        "ok - B2 sym k=(1,1) box 4: 81 weights x 5 orders, 0 disagreements\n"
-        "ok - B2 tr k=(1,1) box 4: 81 weights x 5 orders, 0 disagreements\n"
+        "ok - B2 sym k=(0,0) box 2: 25 weights, 0 x 5 orders fired, 0 disagreements\n"
+        "ok - B2 tr k=(0,0) box 2: 25 weights, 0 x 5 orders fired, 0 disagreements\n"
+        "ok - B2 sym k=(1,1) box 4: 81 weights, 0 x 5 orders fired, 0 disagreements\n"
+        "ok - B2 tr k=(1,1) box 4: 81 weights, 0 x 5 orders fired, 0 disagreements\n"
         "note - B2 sym k=(0,1) (not good): 0 of 81 weights disagreed across orders\n"
         "suite confluence on B2: PASS\n"
     )
@@ -378,10 +378,10 @@ SUITE_ARGS = {
 # stdout of each suite on A2 with SUITE_ARGS
 A2_OUTPUT = {
     "confluence": (
-        "ok - A2 sym k=(0,0) box 2: 25 weights x 5 orders, 0 disagreements\n"
-        "ok - A2 tr k=(0,0) box 2: 25 weights x 5 orders, 0 disagreements\n"
-        "ok - A2 sym k=(1,1) box 4: 81 weights x 5 orders, 0 disagreements\n"
-        "ok - A2 tr k=(1,1) box 4: 81 weights x 5 orders, 0 disagreements\n"
+        "ok - A2 sym k=(0,0) box 2: 25 weights, 0 x 5 orders fired, 0 disagreements\n"
+        "ok - A2 tr k=(0,0) box 2: 25 weights, 0 x 5 orders fired, 0 disagreements\n"
+        "ok - A2 sym k=(1,1) box 4: 81 weights, 0 x 5 orders fired, 0 disagreements\n"
+        "ok - A2 tr k=(1,1) box 4: 81 weights, 0 x 5 orders fired, 0 disagreements\n"
         "suite confluence on A2: PASS\n"
     ),
     "sinks": (
@@ -502,8 +502,8 @@ FAILING_CHECKS = {
         fi, "reachable_sinks",
         lambda real: lambda rs, params, starts: [((0, 0), (1, 1))] * len(starts),
         [
-            "FAIL - A2 sym k=(0,0) box 2: 25 weights x 5 orders, 0 disagreements, "
-            "25 weights reach two or more sinks"
+            "FAIL - A2 sym k=(0,0) box 2: 25 weights, 25 x 5 orders fired, "
+            "0 disagreements, 25 weights reach two or more sinks"
         ],
     ),
     "sinks": (

@@ -491,49 +491,13 @@ def test_confluence_seeds_stay_in_64_bits(monkeypatch):
     a2, top = from_spec("A2"), 2**64 - 1
     assert check_confluence_random(a2, (0, 0), SYM1, trials=2, seed=top - 1)
     calls = []
-    monkeypatch.setattr(kernel, "stabilize_orders", lambda *args: calls.append(args))
+    monkeypatch.setattr(kernel, "stabilize", lambda *args: calls.append(args))
     for seed, trials in ((top, 2), (top - 1, 3), (-1, 2)):
         with pytest.raises(errors.PreconditionError) as exc:
             check_confluence_random(a2, (0, 0), SYM1, trials=trials, seed=seed)
         last = seed + trials - 1
         assert str(exc.value) == f"seeds must lie in [0, 2**64), got {seed}..{last}"
     assert calls == []
-
-
-def test_confluence_fires_every_order_in_one_shared_call(monkeypatch):
-    # all `trials` seeds of a weight are drawn in one kernel call, and its
-    # successor table gains one state per `_successors` call: from a sink
-    # the table holds that sink alone and no order fires
-    from rootfire import kernel
-
-    a2, trials = from_spec("A2"), 7
-    real_orders, real_successors = kernel.stabilize_orders, kernel._successors
-    calls, states = [], []
-
-    def orders(*args, **kwargs):
-        runs = real_orders(*args, **kwargs)
-        calls.append((list(args[5]), runs))
-        return runs
-
-    def successors(p, *args):
-        states.append(p)
-        return real_successors(p, *args)
-
-    monkeypatch.setattr(kernel, "stabilize_orders", orders)
-    monkeypatch.setattr(kernel, "_successors", successors)
-    for weight, sink in (((1, 1), True), ((0, 0), False)):
-        assert is_sink(a2, weight, SYM1) == sink
-        calls.clear()
-        states.clear()
-        assert check_confluence_random(a2, weight, SYM1, trials=trials, seed=5)
-        [(seeds, runs)] = calls
-        assert seeds == list(range(5, 5 + trials))
-        if sink:
-            assert states == [tuple(kernel.pairings(a2._coroot_chain, weight))]
-            assert {steps for _, steps in runs} == {0}
-        else:
-            assert len(states) == len(set(states)) > 1
-            assert min(steps for _, steps in runs) > 0
 
 
 def _confluence_grid(rs):
@@ -599,11 +563,10 @@ def test_a_doctored_bound_fails_the_certificate(monkeypatch, capsys):
     monkeypatch.setattr(firing, "_bounds", wider)
     assert cli.main(["verify", "confluence", "A2", "--k", "1", "--trials", "10"]) == 2
     lines = capsys.readouterr().out.splitlines()
-    assert any(
-        line.startswith("FAIL - A2 sym k=(1,1) box 4: 81 weights x 10 orders")
-        and line.endswith(" weights reach two or more sinks")
-        for line in lines
-    ), lines
+    assert (
+        "FAIL - A2 sym k=(1,1) box 4: 81 weights, 2 x 10 orders fired, "
+        "2 disagreements, 2 weights reach two or more sinks"
+    ) in lines, lines
 
 
 def test_confluence_fires_orders_only_where_two_sinks_are_reachable(monkeypatch, capsys):
@@ -623,14 +586,18 @@ def test_confluence_fires_orders_only_where_two_sinks_are_reachable(monkeypatch,
     monkeypatch.setattr(firing, "check_confluence_random", check)
     assert cli.main(["verify", "confluence", "A2", "--k", "0", "--trials", "3"]) == 0
     assert checked == []
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "ok - A2 sym k=(0,0) box 2: 25 weights, 0 x 3 orders fired, 0 disagreements",
+        "ok - A2 tr k=(0,0) box 2: 25 weights, 0 x 3 orders fired, 0 disagreements",
+    ]
     monkeypatch.setattr(firing, "reachable_sinks", one_split)
     assert cli.main(["verify", "confluence", "A2", "--k", "0", "--trials", "3"]) == 2
     assert checked == [(0, 0), (0, 0)]
     assert capsys.readouterr().out.splitlines()[-3:] == [
-        "FAIL - A2 sym k=(0,0) box 2: 25 weights x 3 orders, 0 disagreements, "
-        "1 weights reach two or more sinks",
-        "FAIL - A2 tr k=(0,0) box 2: 25 weights x 3 orders, 0 disagreements, "
-        "1 weights reach two or more sinks",
+        "FAIL - A2 sym k=(0,0) box 2: 25 weights, 1 x 3 orders fired, "
+        "0 disagreements, 1 weights reach two or more sinks",
+        "FAIL - A2 tr k=(0,0) box 2: 25 weights, 1 x 3 orders fired, "
+        "0 disagreements, 1 weights reach two or more sinks",
         "suite confluence on A2: FAIL",
     ]
 

@@ -201,33 +201,33 @@ def test_incremental_kernel_matches_recompute_oracle(spec):
 # B2 sym k=30 from (-30, 0) fires at least 100 times in seeded order
 LONG_RUN = ((-30, 0), FiringParams.make("sym", 30))
 
-# one call's seeds: at the start and the top of the seed range
+# seeds at the start and the top of the seed range
 SHARED_SEEDS = (0, 1, 2, 12345, 2**64 - 2, 2**64 - 1)
 
 
 def _orders_match_reference(rs, v, params, seeds):
-    """Check one multi-seed call against the reference; returns its runs.
+    """Check one seeded run per seed against the reference; returns the runs.
 
-    Each seed's (final pairing vector, steps) must be the reference's,
-    and a one-seed ``kernel.stabilize`` run's.
+    Each seed's (final pairing vector, steps) must be the reference's.
     """
     lo, hi = _bounds(rs, params)
     budget = _reference_budget(rs, v, params)
     pair = kernel.pairings(rs._coroot_chain, v)
-    runs = kernel.stabilize_orders(pair, rs.pos_gram, lo, hi, budget, seeds)
-    assert len(runs) == len(seeds)
-    for seed, run in zip(seeds, runs):
+    runs = []
+    for seed in seeds:
+        run = kernel.stabilize(pair, rs.pos_gram, lo, hi, budget, seed)
         sink, steps, _ = _reference_stabilize(
             v, rs.pos_root_weights, rs.pos_coroots, lo, hi, budget, seed
         )
         case = (rs.spec, params, v, seed)
         assert run == (tuple(_reference_pairings(rs, sink)), steps), case
-        assert kernel.stabilize(pair, rs.pos_gram, lo, hi, budget, seed) == run, case
+        runs.append(run)
     return runs
 
 
 @pytest.mark.parametrize("spec", sorted(s for s in CLASSIFICATION if int(s[1:]) <= 4))
 def test_shared_table_orders_match_recompute_oracle(spec):
+    # each seed of SHARED_SEEDS fires the reference's order
     rs = from_spec(spec)
     longest = 0
     for params in _oracle_params(rs):
@@ -246,16 +246,16 @@ def test_shared_table_orders_past_the_memo_match_the_reference():
 
 @pytest.mark.parametrize("spec", ["A2", "A4", "C3", "D4"])
 def test_shared_table_keeps_distinct_orders_apart(spec):
-    # central firing is not confluent: orders sharing one table must still
-    # reach several sinks, each one reachable from 0
+    # central firing is not confluent: seeded orders from 0 must reach
+    # several sinks, each one reachable from 0
     rs = from_spec(spec)
     m = len(rs.pos_roots)
     zero = (0,) * rs.rank
-    runs = kernel.stabilize_orders(
-        kernel.pairings(rs._coroot_chain, zero), rs.pos_gram, (0,) * m, (0,) * m,
-        10**6, range(40),
-    )
-    sinks = {tuple(final[i] for i in rs.simple_positions) for final, _ in runs}
+    pair = kernel.pairings(rs._coroot_chain, zero)
+    sinks = set()
+    for seed in range(40):
+        final, _ = kernel.stabilize(pair, rs.pos_gram, (0,) * m, (0,) * m, 10**6, seed)
+        sinks.add(tuple(final[i] for i in rs.simple_positions))
     assert len(sinks) > 1
     assert sinks <= set(reachable_central_sinks(rs, zero))
 
@@ -315,17 +315,3 @@ def test_limit_and_budget_share_one_bound():
             with pytest.raises(errors.StepBudgetError):
                 kernel.stabilize(pair, gram, lo, hi, budget, seed, budget + 1)
         assert kernel.stabilize(pair, gram, lo, hi, steps, seed, steps + 5) == (final, steps)
-    # the shared table cuts and overruns each order at the same bound as a
-    # one-seed run: a call overruns exactly when one of its orders does
-    seeds = (12345, 7, 2**64 - 1)
-    longest = max(kernel.stabilize(pair, gram, lo, hi, 10**6, s)[1] for s in seeds)
-    for budget in range(longest + 1):
-        for limit in (None, budget, budget + 1):
-            args = (pair, gram, lo, hi, budget)
-            try:
-                want = [kernel.stabilize(*args, s, limit) for s in seeds]
-            except errors.StepBudgetError as exc:
-                with pytest.raises(errors.StepBudgetError, match=str(exc)):
-                    kernel.stabilize_orders(*args, seeds, limit)
-            else:
-                assert kernel.stabilize_orders(*args, seeds, limit) == want
