@@ -1,16 +1,18 @@
 """Counting stabilization fibers and fitting their Ehrhart-like polynomials.
 
-All interpolation is exact rational arithmetic.  One-variable fits cover
-the single-length (simply laced) systems; two-length systems get a
-two-variable fit in (k_short, k_long) on a tensor grid of good parameter
-values.  Every fit is verified at held-out points with zero residual.
+Fits are exact, by integer forward differences.  One-variable fits cover the
+single-length (simply laced) systems; two-length systems get a two-variable
+fit in (k_short, k_long) on a tensor grid of good parameter values.  Every
+fit is verified at held-out points with zero residual.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 from .errors import DomainError, FitInconsistentError, PreconditionError
 from .firing import (
@@ -93,39 +95,37 @@ class LatticePolynomial:
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
-def _lagrange_basis(xs: list[int]) -> list[list[Fraction]]:
-    """Ascending coefficients of the Lagrange basis polynomials on nodes xs."""
-    out = []
-    for j, xj in enumerate(xs):
-        basis = [Fraction(1)]
-        for xi in xs[:j] + xs[j + 1 :]:
-            # multiply by (X - xi) / (xj - xi)
-            basis = [
-                (lo - xi * hi) / (xj - xi)
-                for lo, hi in zip([Fraction(0)] + basis, basis + [Fraction(0)])
-            ]
-        out.append(basis)
+def _binomial_basis(start: int, n: int) -> list[list[Fraction]]:
+    """Ascending monomial coefficients of C(X - start, i) for i < n."""
+    out = [[Fraction(1)]]
+    for i in range(1, n):
+        # C(X - start, i) = C(X - start, i - 1) * (X - start - i + 1) / i
+        row, shift = out[-1], start + i - 1
+        out.append([(lo - shift * hi) / i for lo, hi in zip([0, *row], [*row, 0])])
     return out
 
 
 def _interpolate(axes: list[list[int]], values: list[int]) -> dict[Exponent, Fraction]:
-    """Exact tensor-grid interpolation over any number of axes.
+    """Exact tensor-grid interpolation over unit-step axes, in Newton's forward form.
 
-    ``values`` lists the grid's values in ``product(*axes)`` order; the
-    interpolant has degree below ``len(axis)`` in each variable.
+    ``values`` (integers, in ``product(*axes)`` order) are differenced along each
+    axis and become monomials through C(k - axis[0], i), of degree below len(axis).
     """
-    bases = [_lagrange_basis(xs) for xs in axes]
-    coeffs: dict[Exponent, Fraction] = {}
-    for idx, v in zip(product(*(range(len(xs)) for xs in axes)), values):
-        if v == 0:
-            continue
-        for terms in product(*(enumerate(b[i]) for b, i in zip(bases, idx))):
-            c = Fraction(v)
-            for _, ci in terms:
-                c *= ci
-            if c:
-                key = tuple(e for e, _ in terms)
-                coeffs[key] = coeffs.get(key, Fraction(0)) + c
+    shape = [len(xs) for xs in axes]
+    diffs, stride = list(values), 1
+    for n in reversed(shape):
+        for i in range(1, n):
+            # descending, so each difference reads the previous order's value
+            for p in reversed(range(len(diffs))):
+                if p // stride % n >= i:
+                    diffs[p] -= diffs[p - stride]
+        stride *= n
+    bases = [_binomial_basis(xs[0], len(xs)) for xs in axes]
+    coeffs: dict[Exponent, Fraction] = defaultdict(Fraction)
+    for idx, v in zip(product(*map(range, shape)), diffs):
+        if v:
+            for terms in product(*(enumerate(b[i]) for b, i in zip(bases, idx))):
+                coeffs[tuple(e for e, _ in terms)] += v * prod(c for _, c in terms)
     return coeffs
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
+from math import isqrt, lcm
 from operator import add, itemgetter, sub
 from typing import Iterable, Literal
 
@@ -239,16 +240,15 @@ def stabilize_trace(
 
 
 def _kernel_inputs(rs: RootSystem, weight: Weight, params: FiringParams):
-    """A weight's kernel inputs: (pairings, lo bounds, hi bounds, step budget).
-
-    The step budget is a crude quadratic-potential bound; exceeding it
-    signals a bug.  Central firing has inputs too, for ``reachable_sinks``;
-    the callers that stabilize refuse it themselves.
-    """
+    """A weight's kernel inputs: (pairings, lo bounds, hi bounds, step budget)."""
     lo, hi = _bounds(rs, params)
     pair = kernel.pairings(rs._coroot_chain, weight)
-    reach = max(map(abs, pair), default=0)
-    return pair, lo, hi, 4 * len(pair) * (reach + params.k_max() + 2) ** 2
+    return pair, lo, hi, _step_budget(pair, params)
+
+
+def _step_budget(pair, params: FiringParams) -> int:
+    """A crude quadratic-potential bound on firings from ``pair``; exceeding it is a bug."""
+    return 4 * len(pair) * (max(map(abs, pair), default=0) + params.k_max() + 2) ** 2
 
 
 def stabilize(
@@ -331,9 +331,9 @@ def reachable_sinks(
     sink proves that every firing order from the start ends there, which
     no sample of orders does.  The walk keeps the seeded kernel's checks:
     the memo stops at the point cap; a successor still being walked is a
-    cycle, which terminating firing never has; and each start's longest
-    firing sequence, 1 + the longest over its successors, is held to the
-    start's step budget and overruns it as the kernel does.
+    cycle, which terminating firing never has; and each walked weight's
+    longest firing sequence, 1 + the longest over its successors, is held
+    to its own step budget and overruns it as the kernel does.
     """
     lo, hi = _bounds(rs, params)
     gram, successors = rs.pos_gram, kernel._successors
@@ -349,16 +349,19 @@ def reachable_sinks(
     low = (1 << _SHIFT) - 1
 
     def frame(key, v):
-        """Weight ``key`` on the stack: its successors' weights, and those left to visit."""
+        """Stack entry of weight ``key``: its vector, successor weights, and those left."""
         nexts = successors(v, gram, lo, hi)
         keys = [*map(weight_of, nexts)]
-        return key, keys, zip(keys, nexts)
+        return key, v, keys, zip(keys, nexts)
 
-    def finish(key, keys):
+    def finish(key, v, keys):
         if not keys:
             sets.append((key,))
             return len(sets) - 1
         done = [memo[w] for w in keys]
+        longest = (max(done) >> _SHIFT) + 1
+        if longest > (budget := _step_budget(v, params)):
+            raise kernel._overrun(budget)
         ids = {x & low for x in done}
         idx = ids.pop()
         if ids:
@@ -366,17 +369,16 @@ def reachable_sinks(
             idx = index.setdefault(found, len(sets))
             if idx == len(sets):
                 sets.append(found)
-        return (((max(done) >> _SHIFT) + 1) << _SHIFT) | idx
+        return (longest << _SHIFT) | idx
 
     picked = []
     for start in starts:
-        pair, _, _, budget = _kernel_inputs(rs, start, params)
         root = tuple(start)
         if root not in memo:
             memo[root] = _ON_STACK
-            stack = [frame(root, pair)]
+            stack = [frame(root, kernel.pairings(rs._coroot_chain, root))]
             while stack:
-                key, keys, todo = stack[-1]
+                key, v, keys, todo = stack[-1]
                 for w_key, w in todo:
                     got = memo.get(w_key)
                     if got is None:
@@ -392,9 +394,7 @@ def reachable_sinks(
                         )
                 else:
                     stack.pop()
-                    memo[key] = finish(key, keys)
-        if memo[root] >> _SHIFT > budget:
-            raise kernel._overrun(budget)
+                    memo[key] = finish(key, v, keys)
         picked.append(memo[root] & low)
     return [sets[idx] for idx in picked]
 
@@ -601,21 +601,22 @@ class SymmetryReport:
         return not self.violations
 
 
-def ball_region(rs: RootSystem, radius_sq: Fraction, center=None) -> list[Weight]:
-    """Weights within a squared distance of a (possibly rational) center.
+def ball_region(rs: RootSystem, radius_sq: int, center=None) -> list[Weight]:
+    """Weights within a squared distance of a (possibly rational) center c/s.
 
-    Metric balls are exactly invariant under the relevant symmetries,
-    unlike coordinate boxes.  The enclosing box is checked against the
-    point cap before it is built.
+    Metric balls are exactly invariant under the relevant symmetries, unlike
+    coordinate boxes.  The test is ``quad_norm(s*v - c) <= f * s^2 * radius_sq``
+    in integers; the enclosing box is checked against the point cap first.
     """
-    center = tuple(Fraction(0) for _ in range(rs.rank)) if center is None else center
-    bound = 1
-    while Fraction(bound * bound) * min(rs.symmetrizer) < 4 * radius_sq + 4:
-        bound += 1
+    center = [Fraction(x) for x in center or rs.zero()]
+    s = lcm(*(x.denominator for x in center))
+    c, limit = [int(x * s) for x in center], rs.index_of_connection * s * s * radius_sq
+    # the least bound >= 1 with bound^2 * min(d) >= 4 * radius_sq + 4
+    bound = isqrt((4 * radius_sq + 3) // min(rs.symmetrizer)) + 1
     return [
         v
         for v in coord_box(rs, bound)
-        if rs.quad_norm(tuple(Fraction(a) - b for a, b in zip(v, center))) <= radius_sq
+        if rs.quad_norm([s * a - b for a, b in zip(v, c)]) <= limit
     ]
 
 
@@ -643,13 +644,12 @@ def graph_symmetry_check(
     Truncated kind: every element of the lattice-quotient subgroup acts
     through the affine map fixing rho/h.
     """
-    r2 = Fraction(radius * radius) * max(rs.symmetrizer)
+    r2 = radius * radius * max(rs.symmetrizer)
     if params.kind == "symmetric":
         vertices = ball_region(rs, r2)
         maps = [(f"s{i}", partial(reflect_simple, rs, i)) for i in range(1, rs.rank + 1)]
     elif params.kind == "truncated":
-        center = tuple(Fraction(1, rs.coxeter_number) for _ in range(rs.rank))
-        vertices = ball_region(rs, r2, center)
+        vertices = ball_region(rs, r2, (Fraction(1, rs.coxeter_number),) * rs.rank)
         maps = [
             (f"C[{i}]", partial(quotient_affine_image, rs, word))
             for i, word in enumerate(subgroup_C(rs))

@@ -341,14 +341,14 @@ class RootSystem:
         """
         return tuple([sum(map(mul, row, weight)) for row in self._scaled_inv_t])
 
-    def quad_norm(self, weight) -> Fraction:
-        """Squared length of a weight-coordinate vector (symmetrized form).
+    def quad_norm(self, weight) -> int:
+        """f times the squared length of an integer weight-coordinate vector.
 
-        Takes integer or exact-rational coordinates.
+        In the symmetrized form that is sum_j d_j * r_j * weight_j with
+        r = ``root_coords(weight)``, an integer; ``f = index_of_connection``.
         """
         r = self.root_coords(weight)
-        total = sum(self.symmetrizer[j] * r[j] * weight[j] for j in range(self.rank))
-        return Fraction(total, self.index_of_connection)
+        return sum(map(mul, map(mul, self.symmetrizer, r), weight))
 
     def __repr__(self):
         return f"RootSystem({self.spec})"

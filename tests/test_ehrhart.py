@@ -1,6 +1,8 @@
 """Fiber counting, exact polynomial fits, and the stabilization identities."""
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -43,6 +45,43 @@ def test_polynomial_basics():
     assert q.evaluate(2, 3) == 2
     assert not q.is_integer() and not q.is_nonnegative()
     assert q.total_degree() == 2
+
+
+def _lagrange_interpolate(axes, values):
+    """Tensor-grid interpolation through a rational Lagrange basis per axis."""
+
+    def basis(xs):
+        out = []
+        for j, xj in enumerate(xs):
+            b = [Fraction(1)]
+            for xi in xs[:j] + xs[j + 1 :]:
+                # multiply by (X - xi) / (xj - xi)
+                b = [(lo - xi * hi) / (xj - xi) for lo, hi in zip([0, *b], [*b, 0])]
+            out.append(b)
+        return out
+
+    bases = [basis(xs) for xs in axes]
+    coeffs = {}
+    for idx, v in zip(product(*(range(len(xs)) for xs in axes)), values):
+        for terms in product(*(enumerate(b[i]) for b, i in zip(bases, idx))):
+            c = Fraction(v)
+            for _, ci in terms:
+                c *= ci
+            key = tuple(e for e, _ in terms)
+            coeffs[key] = coeffs.get(key, 0) + c
+    return {e: c for e, c in coeffs.items() if c}
+
+
+def test_forward_differences_match_lagrange_interpolation():
+    rng = random.Random(2201)
+    for _ in range(300):
+        axes = [
+            list(range(start, start + rng.randint(1, 6)))
+            for start in (rng.randint(0, 2) for _ in range(rng.randint(1, 2)))
+        ]
+        values = [rng.randint(-40, 40) for _ in product(*axes)]
+        got = {e: c for e, c in ehrhart._interpolate(axes, values).items() if c}
+        assert got == _lagrange_interpolate(axes, values), (axes, values)
 
 
 def test_count_fiber_examples():

@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 from operator import add, mul, sub
 
 import pytest
@@ -14,6 +15,7 @@ from rootfire.ehrhart import decomposition_check, fit_ehrhart_like, full_dim_lab
 from rootfire.firing import (
     FiringParams,
     _bounds,
+    ball_region,
     bounding_center,
     build_graph,
     check_confluence_random,
@@ -524,12 +526,7 @@ def test_the_walk_holds_every_order_to_the_step_budget(monkeypatch):
     # weight that can, as a seeded order does
     from rootfire import cli
 
-    real = firing._kernel_inputs
-
-    def no_budget(rs, weight, params):
-        return (*real(rs, weight, params)[:3], 0)
-
-    monkeypatch.setattr(firing, "_kernel_inputs", no_budget)
+    monkeypatch.setattr(firing, "_step_budget", lambda pair, params: 0)
     message = "stabilization exceeded its step budget of 0"
     with pytest.raises(errors.StepBudgetError, match=message):
         cli.main(["verify", "confluence", "A2", "--k", "0", "--trials", "2"])
@@ -735,14 +732,50 @@ def test_graph_determinism():
     assert g1.to_dot(a2) == g2.to_dot(a2)
 
 
-@pytest.mark.parametrize("spec", ["A2", "B2", "G2"])
+def _fraction_ball(rs, radius_sq, center, bound):
+    """The ball by its rational squared length |v - center|^2, over a given box."""
+    out = []
+    for v in coord_box(rs, bound):
+        y = tuple(Fraction(a) - b for a, b in zip(v, center))
+        r = rs.root_coords(y)
+        total = sum(rs.symmetrizer[j] * r[j] * y[j] for j in range(rs.rank))
+        if Fraction(total, rs.index_of_connection) <= radius_sq:
+            out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("spec,k_max", [("A2", 2), ("B2", 2), ("G2", 2), ("A3", 1)])
+def test_integer_ball_matches_the_rational_formula(spec, k_max):
+    rs = from_spec(spec)
+    centers = [(0,) * rs.rank, (Fraction(1, rs.coxeter_number),) * rs.rank]
+    for k in range(k_max + 1):
+        r2 = (2 * k + 2) ** 2 * max(rs.symmetrizer)
+        for center in centers:
+            # a box wider than the one scanned, so its bound is checked too
+            want = _fraction_ball(rs, r2, center, isqrt(4 * r2 + 4) + 2)
+            assert ball_region(rs, r2, center) == want, (k, center)
+
+
+# (vertices, edges) on the ball of radius 2k + 2 for k = 0, 1, 2, each sym then tr
+SYMMETRY_SIZES = {
+    "A2": [(19, 12), (21, 0), (85, 84), (84, 57), (199, 216), (192, 168)],
+    "B2": [(25, 18), (28, 0), (101, 110), (102, 76), (225, 278), (222, 224)],
+    "G2": [(19, 18), (22, 0), (85, 132), (87, 91), (199, 342), (194, 271)],
+    "A3": [(65, 84), (68, 0), (537, 1176), (524, 772), (1837, 4476), (1800, 3604)],
+    "B3": [(65, 120), (66, 0), (537, 1602), (534, 1080), (1837, 6138), (1810, 4926)],
+}
+
+
+@pytest.mark.parametrize("spec", ["A2", "B2", "G2", "A3", "B3"])
 def test_graph_symmetries(spec):
     rs = from_spec(spec)
-    for k in (0, 1):
-        rep = graph_symmetry_check(rs, FiringParams.make("sym", k, k), 2 * k + 2)
-        assert rep.passed, rep.violations[:3]
-        rep = graph_symmetry_check(rs, FiringParams.make("tr", k, k), 2 * k + 2)
-        assert rep.passed, rep.violations[:3]
+    sizes = []
+    for k in (0, 1, 2):
+        for kind in ("sym", "tr"):
+            rep = graph_symmetry_check(rs, FiringParams.make(kind, k, k), 2 * k + 2)
+            assert rep.passed, rep.violations[:3]
+            sizes.append((rep.num_vertices, rep.num_edges))
+    assert sizes == SYMMETRY_SIZES[spec]
 
 
 def test_symmetry_check_fails_on_maps_that_are_not_symmetries(monkeypatch):
