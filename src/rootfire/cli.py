@@ -366,7 +366,7 @@ def _edge_escapes(rs, params, center) -> list[tuple]:
 def _suite_nonescape(rs, args):
     for k in range(args.k_max + 1):
         params = fi.FiringParams.make("sym", k, k)
-        centers = [fi.bounding_center(rs, bits, params) for bits in product((0, 1), repeat=rs.rank)]
+        centers = [fi.bounding_center(rs, bits, params) for bits in eh.full_dim_labels(rs)]
         escapes = [(center, _edge_escapes(rs, params, center)) for center in centers]
         for center, esc in escapes:
             if esc:

@@ -396,14 +396,13 @@ def tr_symmetry_scan(
     library.
     """
     tr = FiringParams.make("truncated", params.k_short, params.k_long)
+    elements = subgroup_C(rs)
     out = []
     for lam in labels:
         base = fiber(rs, lam, tr)
-        for idx, word in enumerate(subgroup_C(rs)):
-            if not word:
-                continue
-            moved_label = quotient_affine_image(rs, word, tuple(lam))
-            moved_fiber = {quotient_affine_image(rs, word, v) for v in base}
+        for idx, element in enumerate(elements[1:], 1):  # C[0] is the identity
+            moved_label = quotient_affine_image(rs, element, tuple(lam))
+            moved_fiber = {quotient_affine_image(rs, element, v) for v in base}
             agrees = set(fiber(rs, moved_label, tr)) == moved_fiber
             out.append((tuple(lam), idx, agrees))
     return tuple(out)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
 from math import isqrt, lcm
-from operator import add, itemgetter, sub
+from operator import add, sub
 from typing import Iterable, Literal
 
 from . import kernel
@@ -236,7 +236,7 @@ def stabilize_trace(
         raise PreconditionError(f"a firing limit must be nonnegative, got {limit}")
     pair, lo, hi, budget = _kernel_inputs(rs, weight, params)
     final, steps = kernel.stabilize(pair, rs.pos_gram, lo, hi, budget, seed, limit)
-    return tuple(final[i] for i in rs.simple_positions), steps
+    return rs.weight_of(final), steps
 
 
 def _kernel_inputs(rs: RootSystem, weight: Weight, params: FiringParams):
@@ -336,13 +336,10 @@ def reachable_sinks(
     to its own step budget and overruns it as the kernel does.
     """
     lo, hi = _bounds(rs, params)
-    gram, successors = rs.pos_gram, kernel._successors
+    gram, successors, weight_of = rs.pos_gram, kernel._successors, rs.weight_of
     cap = point_cap()
-    # a vector's weight is its simple-root pairings, and keys the memo:
-    # weights and packed entries measured less peak memory than whole
-    # vectors and tuples
-    pick = itemgetter(*rs.simple_positions)
-    weight_of = pick if rs.rank > 1 else lambda v: (pick(v),)
+    # a vector's weight keys the memo: weights and packed entries measured
+    # less peak memory than whole vectors and tuples
     memo: dict[Weight, int] = {}
     sets: list[tuple[Weight, ...]] = []
     index: dict[tuple[Weight, ...], int] = {}
@@ -620,18 +617,16 @@ def ball_region(rs: RootSystem, radius_sq: int, center=None) -> list[Weight]:
     ]
 
 
-def quotient_affine_image(rs: RootSystem, word: WeylWord, weight: Weight) -> Weight:
+def quotient_affine_image(
+    rs: RootSystem, element: tuple[Weight, WeylWord], weight: Weight
+) -> Weight:
     """Apply the affine symmetry v -> w(v - rho/h) + rho/h of truncated firing.
 
-    Only elements of the lattice-quotient subgroup map the weight lattice
-    to itself; anything else trips the integrality check.
+    ``element`` is an (omega, w) pair of ``subgroup_C``, whose w(rho) is
+    rho - h*omega, so the map is w(v) + omega.
     """
-    h = rs.coxeter_number
-    # w is linear: w(v - rho/h) + rho/h = w(v) + (rho - w(rho))/h
-    shift = tuple(a - b for a, b in zip(rs.rho(), apply_word(rs, word, rs.rho())))
-    if any(x % h for x in shift):
-        raise InvariantViolationError(f"affine symmetry left the weight lattice at {weight}")
-    return tuple(a + b // h for a, b in zip(apply_word(rs, word, weight), shift))
+    omega, word = element
+    return tuple(map(add, apply_word(rs, word, weight), omega))
 
 
 def graph_symmetry_check(
@@ -641,8 +636,8 @@ def graph_symmetry_check(
 
     Symmetric kind: every simple reflection maps undirected edges to
     undirected edges (generators suffice for the full Weyl group).
-    Truncated kind: every element of the lattice-quotient subgroup acts
-    through the affine map fixing rho/h.
+    Truncated kind: every (omega, w) of the lattice-quotient subgroup acts
+    by the affine map v -> w(v) + omega, which fixes rho/h.
     """
     r2 = radius * radius * max(rs.symmetrizer)
     if params.kind == "symmetric":
@@ -651,8 +646,8 @@ def graph_symmetry_check(
     elif params.kind == "truncated":
         vertices = ball_region(rs, r2, (Fraction(1, rs.coxeter_number),) * rs.rank)
         maps = [
-            (f"C[{i}]", partial(quotient_affine_image, rs, word))
-            for i, word in enumerate(subgroup_C(rs))
+            (f"C[{i}]", partial(quotient_affine_image, rs, element))
+            for i, element in enumerate(subgroup_C(rs))
         ]
     else:
         raise PreconditionError("symmetry check applies to symmetric/truncated kinds")
@@ -666,8 +661,9 @@ def graph_symmetry_check(
     }
     violations: list[str] = []
     for name, image in maps:
+        moved = {v: image(v) for v in vertices}
         for v, w in sorted(edges):
-            iv, iw = image(v), image(w)
+            iv, iw = moved[v], moved[w]
             if (min(iv, iw), max(iv, iw)) not in edges:
                 violations.append(f"{name} breaks edge {v} -- {w}")
     return SymmetryReport(

@@ -26,7 +26,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from operator import mul, sub
+from operator import itemgetter, mul, sub
 
 from .errors import (
     ClassificationError,
@@ -197,6 +197,8 @@ class RootSystem:
     simple_positions : ``simple_positions[i]`` is the index in ``pos_roots``
         of the (i+1)-th simple root.  A weight's pairing vector holds its
         coordinates at these positions.
+    weight_of : the weight of a pairing vector, the tuple of its entries
+        at ``simple_positions``.
     root_d : per-root half squared length; ``length_class`` tags long/short.
     highest_root, highest_short_root : indices into ``pos_roots``.
     coxeter_number, index_of_connection : the invariants h and f.
@@ -221,6 +223,9 @@ class RootSystem:
         self.simple_positions = tuple(
             self.root_index(tuple(int(j == i) for j in range(rank))) for i in range(rank)
         )
+        # at rank 1 the one root is simple, so the vector is the weight
+        # (and itemgetter of one index would return a bare entry)
+        self.weight_of = itemgetter(*self.simple_positions) if rank > 1 else tuple
         self.pos_root_weights = tuple(
             tuple(sum(a * self.cartan[i][j] for i, a in enumerate(r)) for j in range(rank))
             for r in self.pos_roots
@@ -521,20 +526,19 @@ def minuscule_weights(rs: RootSystem) -> tuple[Weight, ...]:
     return tuple(sorted(out))
 
 
-def subgroup_C(rs: RootSystem) -> tuple[WeylWord, ...]:
-    """The lattice-quotient subgroup inside the Weyl group, as words.
+def subgroup_C(rs: RootSystem) -> tuple[tuple[Weight, WeylWord], ...]:
+    """The lattice-quotient subgroup inside the Weyl group, as (omega, w) pairs.
 
-    One element per coset representative in ``minuscule_weights``: the
-    unique ``w`` moving the Weyl vector by h times that representative.
-    The identity (for zero) comes first.
+    One pair per coset representative omega in ``minuscule_weights``, zero
+    (the identity) first: w is the unique element with w(rho) = rho - h*omega,
+    so that w(v - rho/h) + rho/h = w(v) + omega.
     """
-    h = rs.coxeter_number
+    h, rho = rs.coxeter_number, rs.rho()
     out = []
     for omega in minuscule_weights(rs):
-        target = tuple(r - h * o for r, o in zip(rs.rho(), omega))
+        target = tuple(r - h * o for r, o in zip(rho, omega))
         dom, word = dominant_rep(rs, target)
-        if dom != rs.rho():
+        if dom != rho:
             raise InvariantViolationError("subgroup element does not move rho correctly")
         out.append((omega, word))
-    out.sort(key=lambda t: (t[0] != rs.zero(), t[0]))
-    return tuple(word for _, word in out)
+    return tuple(out)

@@ -763,14 +763,16 @@ SYMMETRY_SIZES = {
     "G2": [(19, 18), (22, 0), (85, 132), (87, 91), (199, 342), (194, 271)],
     "A3": [(65, 84), (68, 0), (537, 1176), (524, 772), (1837, 4476), (1800, 3604)],
     "B3": [(65, 120), (66, 0), (537, 1602), (534, 1080), (1837, 6138), (1810, 4926)],
+    # k <= 1 only; D4's C is Z/2 x Z/2, the one C that is not cyclic
+    "D4": [(169, 456), (148, 0), (2593, 12144), (2464, 7956)],
 }
 
 
-@pytest.mark.parametrize("spec", ["A2", "B2", "G2", "A3", "B3"])
+@pytest.mark.parametrize("spec", ["A2", "B2", "G2", "A3", "B3", "D4"])
 def test_graph_symmetries(spec):
     rs = from_spec(spec)
     sizes = []
-    for k in (0, 1, 2):
+    for k in range(len(SYMMETRY_SIZES[spec]) // 2):
         for kind in ("sym", "tr"):
             rep = graph_symmetry_check(rs, FiringParams.make(kind, k, k), 2 * k + 2)
             assert rep.passed, rep.violations[:3]
@@ -787,8 +789,10 @@ def test_symmetry_check_fails_on_maps_that_are_not_symmetries(monkeypatch):
         firing, "reflect_simple", lambda rs, i, v: tuple(map(add, v, rs.fundamental_weight(1)))
     )
     assert len(graph_symmetry_check(a2, SYM1, 4).violations) == 46
-    # w alone, without the shift that makes w fix rho/h
-    monkeypatch.setattr(firing, "quotient_affine_image", apply_word)
+    # w alone, without the omega that makes w(v) + omega fix rho/h
+    monkeypatch.setattr(
+        firing, "quotient_affine_image", lambda rs, element, v: apply_word(rs, element[1], v)
+    )
     assert len(graph_symmetry_check(a2, TR1, 4).violations) == 44
 
 
@@ -796,13 +800,11 @@ def test_symmetry_check_fails_on_maps_that_are_not_symmetries(monkeypatch):
 def test_quotient_affine_image_matches_rational_formula(spec):
     rs = from_spec(spec)
     shift = Fraction(1, rs.coxeter_number)
-    for word in subgroup_C(rs):
+    for omega, word in subgroup_C(rs):
         for v in product(range(-1, 2), repeat=rs.rank):
             # v -> w(v - rho/h) + rho/h, computed in exact rationals
             moved = apply_word(rs, word, tuple(Fraction(x) - shift for x in v))
-            assert quotient_affine_image(rs, word, v) == tuple(x + shift for x in moved)
-    with pytest.raises(errors.InvariantViolationError):
-        quotient_affine_image(from_spec("A2"), (1,), (0, 0))
+            assert quotient_affine_image(rs, (omega, word), v) == tuple(x + shift for x in moved)
 
 
 def matrix_firing_edges(rs, weight):

@@ -371,7 +371,7 @@ ORACLE_CMAX = {
 
 # the slice search of ``traverse_bruteforce`` against the full scan
 @pytest.mark.parametrize("spec", list(ORACLE_CMAX))
-def test_traverse_keys_match_the_tuple_scan(spec):
+def test_traverse_slice_search_matches_the_tuple_scan(spec):
     rs = from_spec(spec)
     for lam in product(range(ORACLE_CMAX[spec] + 1), repeat=rs.rank):
         want = _tuple_scan(rs, enumerate_perm(rs, lam).points)

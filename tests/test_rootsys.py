@@ -114,6 +114,7 @@ def test_pos_gram_matches_the_symmetrized_form(spec):
     for w in weights:
         pair = [sum(x * y for x, y in zip(row, w)) for row in rs.pos_coroots]
         assert tuple(pair[i] for i in rs.simple_positions) == w
+        assert rs.weight_of(tuple(pair)) == w
 
 
 @pytest.mark.parametrize("spec", ["Z9", "B1", "C2", "D3", "E9", "F5", "G3", "A0", ""])
@@ -357,34 +358,35 @@ def test_minuscule_sets():
     assert sorted(from_spec("E7").minuscule) == [7]
 
 
-@pytest.mark.parametrize("spec,size", [("A2", 3), ("B2", 2), ("G2", 1), ("A3", 4)])
+@pytest.mark.parametrize(
+    "spec,size", [(spec, CLASSIFICATION[spec][2]) for spec in sorted(CLASSIFICATION)]
+)
 def test_subgroup_c(spec, size):
+    # |C| = f; each (omega, w) has w(rho) = rho - h*omega, and the omegas
+    # are the coset representatives, each once, with the identity first
     rs = from_spec(spec)
-    words = subgroup_C(rs)
-    assert len(words) == size
-    assert words[0] == ()
-    h = rs.coxeter_number
-    reps = minuscule_weights(rs)
-    moved = set()
-    for word in words:
-        image = apply_word(rs, word, rs.rho())
-        diff = tuple(a - b for a, b in zip(rs.rho(), image))
-        assert all(d % h == 0 for d in diff)
-        omega = tuple(d // h for d in diff)
-        assert omega in reps
-        moved.add(omega)
-    assert len(moved) == len(reps)
+    elements = subgroup_C(rs)
+    assert len(elements) == size
+    assert elements[0] == (rs.zero(), ())
+    h, rho = rs.coxeter_number, rs.rho()
+    for omega, word in elements:
+        assert apply_word(rs, word, rho) == tuple(r - h * o for r, o in zip(rho, omega))
+    assert sorted(omega for omega, _ in elements) == list(minuscule_weights(rs))
 
 
 @pytest.mark.parametrize("spec", ["D4", "E6", "E7", "A4"])
 def test_subgroup_c_is_a_lattice_quotient_copy(spec):
-    # one element per coset representative, with order dividing the index
+    # one element per coset representative, with order dividing the index,
+    # and closed under composition (w is fixed by w(rho), rho being regular)
     rs = from_spec(spec)
-    words = subgroup_C(rs)
-    f = rs.index_of_connection
-    assert len(words) == f
-    for word in words:
-        v = apply_word(rs, word, rs.rho())
+    elements = subgroup_C(rs)
+    f, h, rho = rs.index_of_connection, rs.coxeter_number, rs.rho()
+    assert len(elements) == f
+    images = {apply_word(rs, word, rho) for _, word in elements}
+    for omega, word in elements:
+        assert apply_word(rs, word, rho) == tuple(r - h * o for r, o in zip(rho, omega))
+        assert {apply_word(rs, word + other, rho) for _, other in elements} == images
+        v = apply_word(rs, word, rho)
         order = 1
         while v != rs.rho():
             v = apply_word(rs, word, v)
