@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 from operator import add, sub
 from typing import Iterable, Literal
 
@@ -297,11 +297,11 @@ def check_confluence_random(
     """Whether ``trials`` seeded-random firing orders from ``weight`` agree.
 
     A sample, not a proof: ``reachable_sinks`` certifies every order at
-    once, and ``verify confluence`` fires orders only from weights that
-    can reach two sinks, where they may disagree.  The orders use the
-    seeds ``seed`` to ``seed + trials - 1`` (see ``require_trials``),
-    one ``kernel.stabilize`` call each.  Final pairing vectors are
-    compared directly: they are equal exactly when the sinks are.
+    once, and ``verify confluence`` fires orders only from the weights of
+    a good row that can reach two sinks, where they may disagree.  The
+    orders use the seeds ``seed`` to ``seed + trials - 1`` (see
+    ``require_trials``), one ``kernel.stabilize`` call each.  Final pairing
+    vectors are compared directly: they are equal exactly when the sinks are.
     """
     _require_stabilizing(params)
     require_trials(trials, seed)
@@ -498,7 +498,7 @@ class FiringGraph:
 
     system: str
     params: FiringParams
-    vertices: tuple[Weight, ...]
+    vertices: tuple[Weight, ...]  # sorted, so index order is weight order
     edges: tuple[tuple[int, int, int], ...]  # (source idx, target idx, root idx)
 
     def to_json(self) -> str:
@@ -603,16 +603,20 @@ def ball_region(rs: RootSystem, radius_sq: int, center=None) -> list[Weight]:
 
     Metric balls are exactly invariant under the relevant symmetries, unlike
     coordinate boxes.  The test is ``quad_norm(s*v - c) <= f * s^2 * radius_sq``
-    in integers; the enclosing box is checked against the point cap first.
+    in integers, over the box |s*v_i - c_i| <= isqrt(2 * radius_sq * s^2 / d_i)
+    (Cauchy-Schwarz, as v_i = <v, alpha_i^vee> and |alpha_i^vee|^2 = 2/d_i),
+    whose size is checked against the point cap before any point is built.
     """
     center = [Fraction(x) for x in center or rs.zero()]
     s = lcm(*(x.denominator for x in center))
     c, limit = [int(x * s) for x in center], rs.index_of_connection * s * s * radius_sq
-    # the least bound >= 1 with bound^2 * min(d) >= 4 * radius_sq + 4
-    bound = isqrt((4 * radius_sq + 3) // min(rs.symmetrizer)) + 1
+    spans = [isqrt(2 * radius_sq * s * s // d) for d in rs.symmetrizer]
+    axes = [range(-((b - ci) // s), (ci + b) // s + 1) for b, ci in zip(spans, c)]
+    size = prod(map(len, axes))
+    require_within_cap(size, f"box of {size} points")
     return [
         v
-        for v in coord_box(rs, bound)
+        for v in product(*axes)
         if rs.quad_norm([s * a - b for a, b in zip(v, c)]) <= limit
     ]
 
@@ -641,10 +645,10 @@ def graph_symmetry_check(
     """
     r2 = radius * radius * max(rs.symmetrizer)
     if params.kind == "symmetric":
-        vertices = ball_region(rs, r2)
+        region = ball_region(rs, r2)
         maps = [(f"s{i}", partial(reflect_simple, rs, i)) for i in range(1, rs.rank + 1)]
     elif params.kind == "truncated":
-        vertices = ball_region(rs, r2, (Fraction(1, rs.coxeter_number),) * rs.rank)
+        region = ball_region(rs, r2, (Fraction(1, rs.coxeter_number),) * rs.rank)
         maps = [
             (f"C[{i}]", partial(quotient_affine_image, rs, element))
             for i, element in enumerate(subgroup_C(rs))
@@ -652,19 +656,16 @@ def graph_symmetry_check(
     else:
         raise PreconditionError("symmetry check applies to symmetric/truncated kinds")
 
-    inside = set(vertices)
-    edges = {
-        (min(v, w), max(v, w))
-        for v in vertices
-        for w, _ in neighbors(rs, v, params)
-        if w in inside
-    }
+    graph = build_graph(rs, region, params)
+    vertices = graph.vertices
+    edges = sorted((vertices[min(i, j)], vertices[max(i, j)]) for i, j, _ in graph.edges)
+    present = set(edges)
     violations: list[str] = []
     for name, image in maps:
         moved = {v: image(v) for v in vertices}
-        for v, w in sorted(edges):
+        for v, w in edges:
             iv, iw = moved[v], moved[w]
-            if (min(iv, iw), max(iv, iw)) not in edges:
+            if (min(iv, iw), max(iv, iw)) not in present:
                 violations.append(f"{name} breaks edge {v} -- {w}")
     return SymmetryReport(
         system=rs.spec,

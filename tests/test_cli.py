@@ -212,7 +212,7 @@ def test_graph_cap_exit_3(capsys, monkeypatch):
     code, _, err = run(
         capsys, "verify", "symmetry", "A2", "--k", "1", "--max-points", "10"
     )
-    assert code == 3 and "cap" in err
+    assert code == 3 and "box of 25 points" in err
 
 
 def test_traverse_grid_cap_exit_3(capsys, monkeypatch):
@@ -333,7 +333,7 @@ def test_confluence_suite_reports_non_good(capsys):
         "ok - B2 tr k=(0,0) box 2: 25 weights, 0 x 5 orders fired, 0 disagreements\n"
         "ok - B2 sym k=(1,1) box 4: 81 weights, 0 x 5 orders fired, 0 disagreements\n"
         "ok - B2 tr k=(1,1) box 4: 81 weights, 0 x 5 orders fired, 0 disagreements\n"
-        "note - B2 sym k=(0,1) (not good): 0 of 81 weights disagreed across orders\n"
+        "note - B2 sym k=(0,1) (not good): 0 of 81 weights reach two or more sinks\n"
         "suite confluence on B2: PASS\n"
     )
     code, out, _ = run(capsys, "verify", "nonescape", "B2", "--k", "1")
@@ -344,6 +344,29 @@ def test_confluence_suite_reports_non_good(capsys):
         "ok - B2 sym k=(0,1) reproduces the known escaping edge 0 -> a1\n"
         "suite nonescape on B2: PASS\n"
     )
+
+
+def test_confluence_non_good_row_counts_split_weights(capsys, monkeypatch):
+    # every weight reaches two sinks: the non-good row reports that count from
+    # the certificate alone, and only the good rows fire seeded orders
+    monkeypatch.setattr(
+        fi, "reachable_sinks", lambda rs, params, starts: [((0, 0), (1, 1))] * len(starts)
+    )
+    fired = set()
+    real = fi.check_confluence_random
+
+    def recording(rs, weight, params, *rest):
+        fired.add(params.label())
+        return real(rs, weight, params, *rest)
+
+    monkeypatch.setattr(fi, "check_confluence_random", recording)
+    code, out, _ = run(capsys, "verify", "confluence", "B2", "--k", "1", "--trials", "2")
+    assert code == 2
+    assert out.splitlines()[-2:] == [
+        "note - B2 sym k=(0,1) (not good): 81 of 81 weights reach two or more sinks",
+        "suite confluence on B2: FAIL",
+    ]
+    assert fired == {"sym k=(0,0)", "tr k=(0,0)", "sym k=(1,1)", "tr k=(1,1)"}
 
 
 def test_verify_exit_codes(capsys):
@@ -402,7 +425,7 @@ A2_OUTPUT = {
     ),
     "symmetry": (
         "ok - A2 sym k=(0,0): 2 maps on 12 edges, 0 violations\n"
-        "ok - A2 tr k=(0,0): 3 maps on 0 edges, 0 violations\n"
+        "note - A2 tr k=(0,0): 3 maps on 0 edges, 0 violations\n"
         "ok - A2 sym k=(1,1): 2 maps on 84 edges, 0 violations\n"
         "ok - A2 tr k=(1,1): 3 maps on 57 edges, 0 violations\n"
         "suite symmetry on A2: PASS\n"

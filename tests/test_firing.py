@@ -744,7 +744,10 @@ def _fraction_ball(rs, radius_sq, center, bound):
     return out
 
 
-@pytest.mark.parametrize("spec,k_max", [("A2", 2), ("B2", 2), ("G2", 2), ("A3", 1)])
+# B3's long nodes have d = 2; D4 is rank 4
+@pytest.mark.parametrize(
+    "spec,k_max", [("A2", 2), ("B2", 2), ("G2", 2), ("A3", 1), ("B3", 1), ("D4", 0)]
+)
 def test_integer_ball_matches_the_rational_formula(spec, k_max):
     rs = from_spec(spec)
     centers = [(0,) * rs.rank, (Fraction(1, rs.coxeter_number),) * rs.rank]
