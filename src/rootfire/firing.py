@@ -229,26 +229,43 @@ def stabilize_trace(
     ``seed=None`` fires the first fireable root in positive-root order;
     a seed fires roots in a seeded-random order.  In either order,
     ``limit`` ends the run after that many firings, at the weight then
-    reached.
+    reached.  A run cut within ``_least_budget`` firings cannot overrun
+    any weight's step budget, so that budget is not computed (see
+    ``_kernel_inputs``).
     """
     _require_stabilizing(params)
     if limit is not None and limit < 0:
         raise PreconditionError(f"a firing limit must be nonnegative, got {limit}")
-    pair, lo, hi, budget = _kernel_inputs(rs, weight, params)
+    pair, lo, hi, budget = _kernel_inputs(rs, weight, params, limit)
     final, steps = kernel.stabilize(pair, rs.pos_gram, lo, hi, budget, seed, limit)
     return rs.weight_of(final), steps
 
 
-def _kernel_inputs(rs: RootSystem, weight: Weight, params: FiringParams):
-    """A weight's kernel inputs: (pairings, lo bounds, hi bounds, step budget)."""
+def _kernel_inputs(
+    rs: RootSystem, weight: Weight, params: FiringParams, limit: int | None = None
+):
+    """A weight's kernel inputs: (pairings, lo bounds, hi bounds, step budget).
+
+    A run cut at ``limit`` firings cannot overrun a budget of ``limit`` or
+    more.  So when ``limit`` is at most the least budget any weight gets,
+    that least budget is passed and the pairings are not scanned for
+    ``_step_budget``: a one-firing check of ``fiber`` pays no scan.
+    """
     lo, hi = _bounds(rs, params)
     pair = kernel.pairings(rs._coroot_chain, weight)
+    if limit is not None and limit <= (least := _least_budget(len(pair), params)):
+        return pair, lo, hi, least
     return pair, lo, hi, _step_budget(pair, params)
 
 
 def _step_budget(pair, params: FiringParams) -> int:
     """A crude quadratic-potential bound on firings from ``pair``; exceeding it is a bug."""
     return 4 * len(pair) * (max(map(abs, pair), default=0) + params.k_max() + 2) ** 2
+
+
+def _least_budget(m: int, params: FiringParams) -> int:
+    """``_step_budget`` at max|p| = 0: the least budget any weight with m pairings gets."""
+    return 4 * m * (params.k_max() + 2) ** 2
 
 
 def stabilize(
@@ -419,6 +436,18 @@ def component(
     ``label`` and is otherwise found by stabilizing ``weight``; with
     ``force`` (non-good parameters) the assertion is skipped and only the
     point cap limits the search.
+
+    The seen set holds one integer per weight: the key of ``v`` is
+    sum((v_i + off) * base**(n - 1 - i)), with base = 2 * off + 1, the
+    digits of ``v + off`` in radix ``base``.  Here off = max|weight_i| +
+    cap * c, and c is the largest |coordinate| of a root in weight
+    coordinates.  The search stops once it holds more than ``cap``
+    weights, so each weight it keys is at most ``cap`` edges from
+    ``weight``: its coordinates lie within ``off`` of 0, every digit in
+    [0, base), and distinct weights get distinct keys.  A neighbor's key
+    is the current key plus the key step of its root, so an edge back to
+    a seen weight builds nothing; a weight and its pairings are built
+    only when it is new.
     """
     good = require_good(rs, params, force)
     center = None
@@ -429,29 +458,46 @@ def component(
     cap = point_cap()
     lo, hi = _bounds(rs, params)
     roots, gram = rs.pos_root_weights, rs.pos_gram
+    # one signed step table: out-edges add a root, in-edges add its
+    # negative; v - alpha_j fires into v exactly when alpha_j is fireable
+    # at v - alpha_j, and there its pairing is p_j - <alpha_j, alpha_j^vee>
+    # = p_j - 2, so the in-edge bounds are lo + 2 and hi + 2
+    steps = roots + tuple(tuple(-x for x in r) for r in roots)
+    rows = gram + tuple(tuple(-x for x in g) for g in gram)
+    los = lo + tuple(x + 2 for x in lo)
+    his = hi + tuple(x + 2 for x in hi)
     start = tuple(weight)
-    seen = {start}
-    queue = deque([(start, kernel.pairings(rs._coroot_chain, start))])
+    off = max(map(abs, start)) + cap * max(abs(x) for r in roots for x in r)
+    base = 2 * off + 1
+    deltas = [_radix_key(step, base, 0) for step in steps]
+    key = _radix_key(start, base, off)
+    seen = {key}
+    members = [start]
+    queue = deque([(start, kernel.pairings(rs._coroot_chain, start), key)])
     while queue:
-        v, p = queue.popleft()
+        v, p, key = queue.popleft()
         if center is not None and not perm_contains(rs, center, v):
             raise InvariantViolationError(
                 f"component of {weight} escapes its bounding permutohedron at {v}"
             )
-        # out-edges, then in-edges: v - alpha_j fires into v exactly when
-        # alpha_j is fireable at v - alpha_j, and there its pairing is
-        # p_j - <alpha_j, alpha_j^vee> = p_j - 2
-        edges = [(j, add) for j, pj in enumerate(p) if lo[j] <= pj <= hi[j]]
-        edges += [(j, sub) for j, pj in enumerate(p) if lo[j] <= pj - 2 <= hi[j]]
-        for j, op in edges:
-            w = tuple(map(op, v, roots[j]))
-            if w not in seen:
-                seen.add(w)
+        for t, x in enumerate(p + p):
+            if los[t] <= x <= his[t] and (w_key := key + deltas[t]) not in seen:
+                seen.add(w_key)
+                w = tuple(map(add, v, steps[t]))
+                members.append(w)
                 # a list: tuple vectors here measured ~3% more peak RSS on fits
-                queue.append((w, list(map(op, p, gram[j]))))
+                queue.append((w, list(map(add, p, rows[t])), w_key))
                 if len(seen) > cap:
                     require_within_cap(len(seen), f"component of {weight}")
-    return tuple(sorted(seen))
+    return tuple(sorted(members))
+
+
+def _radix_key(v, base: int, off: int) -> int:
+    """sum((v_i + off) * base**(n - 1 - i)): ``component``'s key of a weight."""
+    key = 0
+    for x in v:
+        key = key * base + x + off
+    return key
 
 
 def fiber(

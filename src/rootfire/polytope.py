@@ -103,7 +103,10 @@ class DiscretePermutohedron:
 # the root-order half of ``perm_contains``: the fits on A3, B3 and A4 of
 # the benchmark's ``fit`` workload ask it 846 distinct (system, dominant
 # weight, center) keys in all, for 35023 membership tests
-_below = lru_cache(maxsize=4096)(root_order_leq)
+@lru_cache(maxsize=4096)
+def _below(rs: RootSystem, mu_dom: Weight, lam_dom: Weight) -> bool:
+    require_dominant(lam_dom)
+    return root_order_leq(rs, mu_dom, lam_dom)
 
 
 def perm_contains(rs: RootSystem, lam_dom: Weight, mu: Weight) -> bool:
@@ -116,9 +119,11 @@ def perm_contains(rs: RootSystem, lam_dom: Weight, mu: Weight) -> bool:
     The root-order test depends only on the system, dom(``mu``) and the
     center, and a component search asks it for many points of one orbit,
     so its answers are kept in a bounded LRU memo (``_below``) keyed by
-    those three.
+    those three.  The memo also checks that the center is dominant: a
+    hit means that very center passed already, and a refusal raises,
+    which ``lru_cache`` never stores, so a center that is not dominant
+    is refused on every call.
     """
-    require_dominant(lam_dom)
     return _below(rs, dominant(rs, mu), tuple(lam_dom))
 
 

@@ -345,6 +345,61 @@ def test_component_cap_is_exact(spec):
         assert str(exc.value) == f"component of {start} exceeds the cap of {size - 1} points"
 
 
+def _far_starts(rs, params):
+    """Weights far from 0 with negative coordinates: those near (-40, 25),
+    mostly sinks, and the sinks labeled by wall points of the orbits of
+    (0, 40) and (40, 0), whose components are root strings of up to k + 1
+    weights."""
+    walls = {*weyl_orbit(rs, (0, 40)), *weyl_orbit(rs, (40, 0))}
+    labeled = [eta(rs, lam, params) for lam in sorted(walls) if min(lam) < 0]
+    return [*product(range(-41, -38), range(24, 27)), *labeled]
+
+
+@pytest.mark.parametrize("spec", ["A2", "B2", "G2"])
+def test_component_keys_hold_far_from_zero(spec):
+    # the integer keys of the BFS offset each coordinate by max|start_i|
+    # plus cap * c; starts with large negative and positive coordinates
+    # exercise both digit ends, and B2 adds the forced sym (0, 1) row
+    rs = from_spec(spec)
+    forced = [FiringParams.make("sym", 0, 1)] if spec == "B2" else []
+    for params in _bfs_params(rs) + forced:
+        force = not params.is_good(rs)
+        for start in _far_starts(rs, params):
+            assert component(rs, start, params, force=force) == _neighbor_closure(
+                rs, start, params
+            ), (params, start)
+
+
+def test_component_keys_hold_at_the_exact_cap():
+    # scoped_cap(size) gives the least offset that holds the component;
+    # G2's root steps reach 3 in weight coordinates
+    g2 = from_spec("G2")
+    assert max(abs(x) for r in g2.pos_root_weights for x in r) == 3
+    sizes = set()
+    for params in _bfs_params(g2):
+        for start in _far_starts(g2, params) + [eta(g2, (-3, 2), params)]:
+            closure = _neighbor_closure(g2, start, params)
+            size = len(closure)
+            sizes.add(size)
+            if size == 1:  # a cap below 1 is refused on its own
+                continue
+            with scoped_cap(size):
+                assert component(g2, start, params) == closure, (params, start)
+            with scoped_cap(size - 1), pytest.raises(errors.ResourceCapError) as exc:
+                component(g2, start, params)
+            assert str(exc.value) == f"component of {start} exceeds the cap of {size - 1} points"
+    assert max(sizes) > 10
+
+
+def test_radix_keys_are_distinct_and_ordered_within_the_offset():
+    # every weight with coordinates in [-off, off] gets its own key, and
+    # keys sort as the weights do
+    off = 3
+    box = list(product(range(-off, off + 1), repeat=3))
+    keys = [firing._radix_key(v, 2 * off + 1, off) for v in box]
+    assert keys == sorted(keys) == list(range(len(box)))
+
+
 def test_fiber_examples():
     a2 = from_spec("A2")
     assert len(fiber(a2, (0, 0), SYM1)) == 7
@@ -453,6 +508,22 @@ def test_stabilize_stops_at_the_limit():
         stabilize(a2, v, TR2, limit=-1)
     with pytest.raises(errors.PreconditionError, match="nonnegative"):
         stabilize_trace(a2, v, TR2, seed=1, limit=-1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_the_least_budget_never_exceeds_the_step_budget(data):
+    # a run cut within the least budget skips the max|p| scan; that is
+    # sound only if no pairing vector gets a smaller budget
+    rs = from_spec(data.draw(st.sampled_from(sorted(CLASSIFICATION))))
+    k_short = data.draw(st.integers(0, 3))
+    k_long = k_short if rs.simply_laced else data.draw(st.integers(0, 3))
+    params = FiringParams.make(data.draw(st.sampled_from(["sym", "tr"])), k_short, k_long)
+    m = len(rs.pos_roots)
+    pair = data.draw(st.lists(st.integers(-60, 60), min_size=m, max_size=m))
+    least = firing._least_budget(m, params)
+    assert least == firing._step_budget([0] * m, params)
+    assert least <= firing._step_budget(pair, params)
 
 
 def test_fiber_members_share_label():

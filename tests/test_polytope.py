@@ -72,6 +72,27 @@ def test_perm_contains_memo_matches_the_root_order_test(spec):
     assert second.misses == first.misses and second.hits == first.hits + len(want)
 
 
+def test_perm_contains_refuses_a_center_that_is_not_dominant_on_every_call():
+    # the memo checks the center; a refusal is never cached
+    rs = from_spec("A2")
+    mu = (-1, 1)
+    polytope._below.cache_clear()
+    for _ in range(2):
+        with pytest.raises(errors.PreconditionError, match="is not dominant"):
+            perm_contains(rs, (2, -1), mu)
+    assert polytope._below.cache_info().currsize == 0
+    # a dominant center warms the memo for dom(mu) = (1, 0)
+    assert perm_contains(rs, (1, 0), mu)
+    assert perm_contains(rs, (1, 0), (1, 0))
+    assert polytope._below.cache_info().currsize == 1
+    for _ in range(2):
+        with pytest.raises(errors.PreconditionError, match="is not dominant"):
+            perm_contains(rs, (2, -1), mu)
+        with pytest.raises(errors.PreconditionError, match="is not dominant"):
+            perm_contains(rs, [2, -1], (1, 0))
+    assert polytope._below.cache_info().currsize == 1
+
+
 def test_the_membership_memo_is_bounded():
     # more distinct dominant representatives than the memo holds
     rs = from_spec("A2")
