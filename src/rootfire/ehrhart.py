@@ -393,17 +393,18 @@ def tr_symmetry_scan(
     For each label and each nontrivial element of the lattice-quotient
     subgroup, compares the fiber of the transported label with the
     transported fiber.  This is empirical data, never asserted by the
-    library.
+    library.  ``params`` must be truncated.
     """
-    tr = FiringParams.make("truncated", params.k_short, params.k_long)
+    if params.kind != "truncated":
+        raise PreconditionError(f"the affine symmetry scan takes tr firing, got {params.short}")
     elements = subgroup_C(rs)
     out = []
     for lam in labels:
-        base = fiber(rs, lam, tr)
+        base = fiber(rs, lam, params)
         for idx, element in enumerate(elements[1:], 1):  # C[0] is the identity
             moved_label = quotient_affine_image(rs, element, tuple(lam))
             moved_fiber = {quotient_affine_image(rs, element, v) for v in base}
-            agrees = set(fiber(rs, moved_label, tr)) == moved_fiber
+            agrees = set(fiber(rs, moved_label, params)) == moved_fiber
             out.append((tuple(lam), idx, agrees))
     return tuple(out)
 

@@ -416,26 +416,17 @@ def reachable_sinks(
 # -- connected components and fibers ----------------------------------------
 
 
-def component(
-    rs: RootSystem,
-    weight: Weight,
-    params: FiringParams,
-    force: bool = False,
-    label: Weight | None = None,
-) -> tuple[Weight, ...]:
+def component(rs: RootSystem, weight: Weight, params: FiringParams) -> tuple[Weight, ...]:
     """Connected component of the firing graph through ``weight``.
 
-    Undirected breadth-first closure.  Each queued weight carries its
-    vector of coroot pairings, computed once at ``weight``: the roots
-    with pairing in bounds give the out-edges, those with pairing - 2 in
-    bounds the in-edges (``v - alpha`` pairs to ``p - 2`` with
-    ``alpha``), and a new neighbor's vector is the current one plus or
-    minus a row of ``rs.pos_gram``.  For good parameters every
-    visited weight is asserted to lie in the bounding permutohedron of
-    the component's sink label, which a caller that knows it passes as
-    ``label`` and is otherwise found by stabilizing ``weight``; with
-    ``force`` (non-good parameters) the assertion is skipped and only the
-    point cap limits the search.
+    Undirected breadth-first closure, for any parameters, central ones
+    included: it needs neither confluence nor a label, and only the point
+    cap limits it.  Each queued weight carries its vector of coroot
+    pairings, computed once at ``weight``: the roots with pairing in
+    bounds give the out-edges, those with pairing - 2 in bounds the
+    in-edges (``v - alpha`` pairs to ``p - 2`` with ``alpha``), and a new
+    neighbor's vector is the current one plus or minus a row of
+    ``rs.pos_gram``.
 
     The seen set holds one integer per weight: the key of ``v`` is
     sum((v_i + off) * base**(n - 1 - i)), with base = 2 * off + 1, the
@@ -449,12 +440,6 @@ def component(
     a seen weight builds nothing; a weight and its pairings are built
     only when it is new.
     """
-    good = require_good(rs, params, force)
-    center = None
-    if good:
-        if label is None:
-            label = stabilization_label(rs, weight, params)
-        center = bounding_center(rs, label, params)
     cap = point_cap()
     lo, hi = _bounds(rs, params)
     roots, gram = rs.pos_root_weights, rs.pos_gram
@@ -476,10 +461,6 @@ def component(
     queue = deque([(start, kernel.pairings(rs._coroot_chain, start), key)])
     while queue:
         v, p, key = queue.popleft()
-        if center is not None and not perm_contains(rs, center, v):
-            raise InvariantViolationError(
-                f"component of {weight} escapes its bounding permutohedron at {v}"
-            )
         for t, x in enumerate(p + p):
             if los[t] <= x <= his[t] and (w_key := key + deltas[t]) not in seen:
                 seen.add(w_key)
@@ -509,24 +490,31 @@ def fiber(
     """All weights whose stabilization label is ``label``.
 
     Empty for labels that label no sink (see ``labels_a_sink``).
-    Otherwise the component of the labeled sink.  For good parameters
-    each member ``v`` fires at most once, to ``w``; ``w`` must be a
-    member, equal to ``v`` (``v`` is stable) exactly when ``v`` is the
-    sink.  That certifies the sink under every firing order: the search
-    adds every out-edge, so the component is closed under forward moves,
-    and firing terminates, so any order from any member ends at a stable
-    member, and the sink is the only one.
+    Otherwise the component of the labeled sink, certified for good
+    parameters member by member.  Each member must lie in the bounding
+    permutohedron of dom(label) + rho_k.  Each member ``v`` fires at most
+    once, to ``w``; ``w`` must be a member, equal to ``v`` (``v`` is
+    stable) exactly when ``v`` is the sink.  That certifies the sink under
+    every firing order: the search adds every out-edge, so the component
+    is closed under forward moves, and firing terminates, so any order
+    from any member ends at a stable member, and the sink is the only one.
     The kernel finds each firing on fresh pairings, which cross-checks
-    ``component``'s incremental ones along one edge per member.
+    ``component``'s incremental ones along one edge per member.  With
+    ``force`` (non-good parameters) neither check runs.
     """
     good = require_good(rs, params, force)
     if not labels_a_sink(rs, label, params):
         return ()
     sink = eta(rs, label, params)
-    comp = component(rs, sink, params, force=force, label=label)
+    comp = component(rs, sink, params)
     if good:
+        center = bounding_center(rs, label, params)
         members = set(comp)
         for v in comp:
+            if not perm_contains(rs, center, v):
+                raise InvariantViolationError(
+                    f"fiber of {label} escapes its bounding permutohedron at {v}"
+                )
             w = stabilize(rs, v, params, limit=1)
             if w not in members or (w == v) != (v == sink):
                 raise InvariantViolationError(

@@ -117,7 +117,7 @@ def perm_contains(rs: RootSystem, lam_dom: Weight, mu: Weight) -> bool:
     multiple of a simple root, so this also tests the lattice coset.
 
     The root-order test depends only on the system, dom(``mu``) and the
-    center, and a component search asks it for many points of one orbit,
+    center, and a fiber check asks it for many points of one orbit,
     so its answers are kept in a bounded LRU memo (``_below``) keyed by
     those three.  The memo also checks that the center is dominant: a
     hit means that very center passed already, and a refusal raises,

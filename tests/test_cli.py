@@ -57,6 +57,12 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, "verify", "iterate", "B2")[0] == 1
     assert run(capsys, "verify", "tables", "A3")[0] == 1
     assert run(capsys, "graph", "A2", "sym", "1", "--box", "-1")[0] == 1
+    # a weight or a firing parameter that does not parse
+    code, out, err = run(capsys, "fiber", "A2", "sym", "1", "1,x")
+    assert (code, out, err) == (1, "", "usage error: cannot parse weight '1,x'\n")
+    code, out, err = run(capsys, "fiber", "A2", "sym", "1,2,3", "0,0")
+    assert (code, out) == (1, "")
+    assert err == "usage error: firing parameter '1,2,3' must be k or k_short,k_long\n"
     # a verify run that would check nothing is refused, not passed
     for suite in ("confluence", "sinks", "iterate", "decompose"):
         code, out, _ = run(capsys, "verify", suite, "A2", "--k", "-1")

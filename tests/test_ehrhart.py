@@ -109,6 +109,11 @@ def test_fit_examples():
     # a bound below the true degree (2 here) is a failed fit, not a refit at 2
     with pytest.raises(FitInconsistentError):
         perm_ehrhart(a2, (0, 0), degree_bound=1)
+    # a two-variable fit interpolates a (d+1) x (d+1) grid, whose polynomial
+    # can exceed total degree d; B2's label 0 has total degree 2
+    with pytest.raises(FitInconsistentError) as exc:
+        fit_ehrhart_like(from_spec("B2"), (0, 0), "sym", degree_bound=1)
+    assert str(exc.value) == "sym fit for (0, 0) on B2 has total degree above 1"
 
 
 def test_fit_kind_aliases():
@@ -300,6 +305,18 @@ def test_tr_symmetry_scan_reports_agreement():
     assert rows and all(agrees for _, _, agrees in rows)
     g2 = from_spec("G2")
     assert tr_symmetry_scan(g2, full_dim_labels(g2), FiringParams.make("tr", 1)) == ()
+
+
+@pytest.mark.parametrize("kind", ["sym", "central"])
+def test_tr_symmetry_scan_refuses_other_kinds(kind):
+    # the scan transports truncated fibers; any other kind is refused, not
+    # silently read as truncated
+    from rootfire.ehrhart import tr_symmetry_scan
+
+    a2 = from_spec("A2")
+    with pytest.raises(PreconditionError) as exc:
+        tr_symmetry_scan(a2, full_dim_labels(a2), FiringParams.make(kind, 0))
+    assert str(exc.value) == f"the affine symmetry scan takes tr firing, got {kind}"
 
 
 def test_iterate_check():

@@ -37,7 +37,7 @@ from rootfire.firing import (
     stabilize,
     stabilize_trace,
 )
-from rootfire.polytope import enumerate_perm, scoped_cap
+from rootfire.polytope import enumerate_perm, perm_contains, scoped_cap
 from rootfire.rootsys import apply_word, dominant_rep, from_spec, subgroup_C, weyl_orbit
 from test_rootsys import CLASSIFICATION
 
@@ -187,7 +187,6 @@ CENTRAL_CALLS = {
         rs, (0, 0), CENTRAL, trials=2, seed=0
     ),
     "stabilization_label": lambda rs: stabilization_label(rs, (0, 0), CENTRAL),
-    "component": lambda rs: component(rs, (0, 0), CENTRAL, force=True),
     "fiber": lambda rs: fiber(rs, (0, 0), CENTRAL, force=True),
     "decomposition_check": lambda rs: decomposition_check(rs, [(0, 0)], CENTRAL),
     "fit_ehrhart_like": lambda rs: fit_ehrhart_like(rs, (0, 0), "central"),
@@ -264,6 +263,16 @@ def test_stabilization_label_examples():
         stabilization_label(from_spec("B2"), (0, 0), FiringParams.make("sym", 0, 1))
 
 
+def test_stabilization_label_refuses_an_unlabeled_sink(monkeypatch):
+    # every sink of good firing is in eta's image; one that is not is a bug
+    import rootfire.firing as fi
+
+    monkeypatch.setattr(fi, "eta_inverse", lambda rs_, mu, params_: None)
+    with pytest.raises(errors.InvariantViolationError) as exc:
+        stabilization_label(from_spec("A2"), (-1, 0), SYM0)
+    assert str(exc.value) == "stabilization of (-1, 0) under sym k=(0,0) is not a labeled sink"
+
+
 @pytest.mark.parametrize("spec", ["A3", "B3"])
 def test_sink_classification_rank3(spec):
     rs = from_spec(spec)
@@ -323,11 +332,23 @@ def test_component_matches_neighbor_closure(spec):
 
 
 def test_forced_component_matches_neighbor_closure():
+    # non-good parameters need no force: the closure needs no confluence
     b2 = from_spec("B2")
     bad = FiringParams.make("sym", 0, 1)
     for lam in full_dim_labels(b2, dominant_only=False):
         start = eta(b2, lam, bad)
-        assert component(b2, start, bad, force=True) == _neighbor_closure(b2, start, bad)
+        assert component(b2, start, bad) == _neighbor_closure(b2, start, bad)
+
+
+@pytest.mark.parametrize("spec, size_from_0", [("A2", 4), ("B2", 8), ("G2", 12), ("A3", 16)])
+def test_central_component_matches_neighbor_closure(spec, size_from_0):
+    # central firing is not confluent and has no labels, yet its graph has
+    # components: the closure explores it as it does any other
+    rs = from_spec(spec)
+    starts = [rs.zero(), (1,) * rs.rank, (-1,) + (1,) * (rs.rank - 1)]
+    for start in starts:
+        assert component(rs, start, CENTRAL) == _neighbor_closure(rs, start, CENTRAL), start
+    assert len(component(rs, rs.zero(), CENTRAL)) == size_from_0
 
 
 @pytest.mark.parametrize("spec", ["A2", "B2", "G2", "A3"])
@@ -363,9 +384,8 @@ def test_component_keys_hold_far_from_zero(spec):
     rs = from_spec(spec)
     forced = [FiringParams.make("sym", 0, 1)] if spec == "B2" else []
     for params in _bfs_params(rs) + forced:
-        force = not params.is_good(rs)
         for start in _far_starts(rs, params):
-            assert component(rs, start, params, force=force) == _neighbor_closure(
+            assert component(rs, start, params) == _neighbor_closure(
                 rs, start, params
             ), (params, start)
 
@@ -449,18 +469,21 @@ def test_fiber_check_catches_a_member_sent_elsewhere(monkeypatch, which):
 
 
 def test_fiber_check_catches_a_second_stable_member(monkeypatch):
-    # a component doctored to hold the sink of label 0 as well has two
-    # stable weights, so not every firing order need end at the label's sink
+    # a component doctored to hold the sink of label (0, 1, 0) as well has
+    # two stable weights, so not every firing order need end at the label's
+    # sink; that sink lies in the label's permutohedron, so only the
+    # one-firing check can catch it
     import rootfire.firing as fi
 
     rs = from_spec("A3")
     label, params = (1, 1, 1), SYM1
-    second = eta(rs, (0, 0, 0), params)
+    second = eta(rs, (0, 1, 0), params)
     assert is_sink(rs, second, params)
+    assert perm_contains(rs, bounding_center(rs, label, params), second)
     real = fi.component
 
-    def doctored(rs_, weight, params_, force=False, label=None):
-        return tuple(sorted(real(rs_, weight, params_, force, label) + (second,)))
+    def doctored(rs_, weight, params_):
+        return tuple(sorted(real(rs_, weight, params_) + (second,)))
 
     monkeypatch.setattr(fi, "component", doctored)
     with pytest.raises(errors.InvariantViolationError) as exc:
@@ -468,9 +491,25 @@ def test_fiber_check_catches_a_second_stable_member(monkeypatch):
     assert str(exc.value).startswith(f"{second} is connected")
 
 
+def test_fiber_check_catches_a_member_outside_its_permutohedron(monkeypatch):
+    # a member the membership test rejects is reported before it is fired
+    import rootfire.firing as fi
+
+    rs = from_spec("A3")
+    label, params = (1, 1, 1), SYM1
+    outside = fiber(rs, label, params)[-1]
+    real = fi.perm_contains
+    monkeypatch.setattr(fi, "perm_contains", lambda rs_, c, v: v != outside and real(rs_, c, v))
+    with pytest.raises(errors.InvariantViolationError) as exc:
+        fiber(rs, label, params)
+    assert str(exc.value) == (
+        f"fiber of {label} escapes its bounding permutohedron at {outside}"
+    )
+
+
 def test_fiber_fires_each_member_once(monkeypatch):
     # one stabilization per member, and one firing per member other than
-    # the sink: `component` is handed the label, so it stabilizes nothing
+    # the sink: `component` stabilizes nothing
     from rootfire import kernel
 
     real, steps = kernel.stabilize, []
@@ -718,11 +757,11 @@ def test_nonescape_good_and_known_failure():
 
 
 def test_component_escape_detection_on_non_good():
-    # the bounding assertion is skipped under force, and the component may
-    # legitimately be smaller than the permutohedron
+    # only a good fiber is held to its permutohedron, and a non-good
+    # component may legitimately be smaller than it
     b2 = from_spec("B2")
     bad = FiringParams.make("sym", 0, 1)
-    comp = component(b2, rho_of_k(b2, bad), bad, force=True)
+    comp = component(b2, rho_of_k(b2, bad), bad)
     assert (0, 0) not in comp
     assert len(comp) == 4
 
