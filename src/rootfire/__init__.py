@@ -41,7 +41,6 @@ from .firing import (
 from .ehrhart import (
     FitReport,
     LatticePolynomial,
-    conjecture_scan,
     count_fiber,
     decomposition_check,
     fit_ehrhart_like,

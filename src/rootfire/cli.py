@@ -17,6 +17,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import asdict
 from itertools import product
 
 from . import ehrhart as eh
@@ -249,7 +250,7 @@ def cmd_fiber(args) -> int:
         obj = {
             "system": rs.spec,
             "label": list(label),
-            "params": {"kind": params.kind, "k_short": params.k_short, "k_long": params.k_long},
+            "params": asdict(params),
             "size": len(pts),
             "weights": [list(v) for v in pts],
         }
@@ -433,7 +434,10 @@ def _suite_tables(rs, args):
 def _suite_conjectures(rs, args):
     # findings are data, never a failure
     rows = {
-        kind: eh.conjecture_scan(rs, eh.full_dim_labels(rs, dominant_only=kind == "sym"), kind)
+        kind: [
+            eh.fit_ehrhart_like(rs, lam, kind)
+            for lam in eh.full_dim_labels(rs, dominant_only=kind == "sym")
+        ]
         for kind in ("sym", "tr")
     }
     for kind, scanned in rows.items():
@@ -464,7 +468,7 @@ def _nonnegative(text: str) -> int:
 # every option a suite may read; each suite's parser offers only its own
 _SUITE_OPTIONS = {
     "k": (
-        ("--k", "--kmax"),
+        ("--k",),
         dict(dest="k_max", type=_nonnegative, default=2, help="largest k checked"),
     ),
     "trials": (("--trials",), dict(type=int, default=25)),

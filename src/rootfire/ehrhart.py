@@ -293,10 +293,11 @@ def decomposition_check(
     through the truncated label at k followed by symmetric at 0; and the
     truncated label at k+1 factors through symmetric at k followed by
     truncated at 1 (asserted only for single-length systems, reported
-    otherwise).
+    otherwise).  ``params`` are the symmetric parameters at k.
     """
     require_good(rs, params)
-    sym_k = FiringParams.make("symmetric", params.k_short, params.k_long)
+    if params.kind != "symmetric":
+        raise PreconditionError(f"the decomposition check takes sym firing, got {params.short}")
     sym_0 = FiringParams.make("symmetric", 0, 0)
     tr_k = FiringParams.make("truncated", params.k_short, params.k_long)
     tr_k1 = FiringParams.make("truncated", params.k_short + 1, params.k_long + 1)
@@ -306,7 +307,7 @@ def decomposition_check(
     for mu in region:
         mu = tuple(mu)
         count += 1
-        sym_label = stabilization_label(rs, mu, sym_k)
+        sym_label = stabilization_label(rs, mu, params)
         if sym_label != stabilization_label(rs, stabilization_label(rs, mu, tr_k), sym_0):
             sym_fail.append(mu)
         if stabilization_label(rs, mu, tr_k1) != stabilization_label(rs, sym_label, tr_1):
@@ -378,11 +379,6 @@ def full_dim_labels(rs: RootSystem, dominant_only: bool = True) -> tuple[Weight,
         out.update(weyl_orbit(rs, dom))
         require_within_cap(len(out), f"full-dimensional label set of {rs.spec}")
     return tuple(sorted(out))
-
-
-def conjecture_scan(rs: RootSystem, labels, kind: str) -> tuple[FitReport, ...]:
-    """Fit every label and report coefficient signs; asserts nothing."""
-    return tuple(fit_ehrhart_like(rs, lam, kind) for lam in labels)
 
 
 def tr_symmetry_scan(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
@@ -78,15 +78,19 @@ class FiringParams:
         return cls(kind=kind, k_short=k_short, k_long=k_long)
 
     def k_of(self, rs: RootSystem, root_idx: int) -> int:
+        """The k of a root: one per root length, so one length takes one k."""
+        if self.k_short != self.k_long and rs.simply_laced:
+            raise DomainError(
+                f"{rs.spec} has one root length and takes one k, "
+                f"got k=({self.k_short},{self.k_long})"
+            )
         return self.k_long if rs.length_class[root_idx] == "long" else self.k_short
 
     def is_good(self, rs: RootSystem) -> bool:
-        """Whether confluence guarantees apply (trivially true if one length)."""
+        """Whether confluence guarantees apply: not k_short = 0 < k_long."""
         if self.kind == "central":
             return False
-        if rs.simply_laced:
-            return True
-        return not (self.k_short == 0 and self.k_long > 0)
+        return not (self.k_of(rs, rs.highest_short_root) == 0 < self.k_of(rs, rs.highest_root))
 
     def k_max(self) -> int:
         return max(self.k_short, self.k_long)
@@ -132,14 +136,7 @@ def _bounds(rs: RootSystem, params: FiringParams) -> tuple[tuple[int, ...], tupl
     """Per-root closed pairing bounds [lo, hi] for fireability.
 
     Built once per (system, params) pair and then served from the cache.
-    A system with one root length has one k, so ``k_short`` and
-    ``k_long`` must agree on it.
     """
-    if rs.simply_laced and params.k_short != params.k_long:
-        raise DomainError(
-            f"{rs.spec} has one root length and takes one k, "
-            f"got k=({params.k_short},{params.k_long})"
-        )
     lo, hi = [], []
     for idx in range(len(rs.pos_roots)):
         if params.kind == "central":
@@ -538,11 +535,7 @@ class FiringGraph:
     def to_json(self) -> str:
         obj = {
             "system": self.system,
-            "params": {
-                "kind": self.params.kind,
-                "k_short": self.params.k_short,
-                "k_long": self.params.k_long,
-            },
+            "params": asdict(self.params),
             "vertices": [list(v) for v in self.vertices],
             "edges": [{"s": s, "t": t, "root": r} for s, t, r in self.edges],
         }

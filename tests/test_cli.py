@@ -78,6 +78,9 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1 and "PASS" not in out
     code, out, _ = run(capsys, "verify", "tables", "A2", "--trials", "0")
     assert code == 1 and "PASS" not in out
+    # --kmax is no longer a spelling of --k
+    code, out, _ = run(capsys, "verify", "sinks", "A2", "--kmax", "1")
+    assert code == 1 and "PASS" not in out
 
 
 def test_seeds_outside_64_bits_exit_1(capsys):
@@ -163,6 +166,10 @@ def test_single_length_system_refuses_two_ks(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "", argv
         assert "A2 has one root length and takes one k" in err, argv
+    # -1,0 labels no symmetric sink, yet its k is refused before that is known
+    code, out, err = run(capsys, "fiber", "A2", "sym", "1,2", "-1,0")
+    assert (code, out) == (1, "")
+    assert err == "usage error: A2 has one root length and takes one k, got k=(1,2)\n"
     code, out, _ = run(capsys, "stabilize", "B2", "sym", "1,2", "0,0")
     assert code == 0 and out.startswith("sink ")
 

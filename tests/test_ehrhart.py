@@ -11,7 +11,6 @@ from rootfire.ehrhart import (
     REFERENCE_SYM_POLYS,
     REFERENCE_TR_POLYS,
     LatticePolynomial,
-    conjecture_scan,
     count_fiber,
     decomposition_check,
     fit_ehrhart_like,
@@ -260,6 +259,15 @@ def test_decomposition_check():
     assert not rep.sym_failures
 
 
+def test_decomposition_check_takes_symmetric_params_only():
+    # the symmetric label at k is read at the parameters given, never rebuilt
+    # from another kind's k values; central parameters keep the central
+    # refusal (test_central_stabilization_is_refused_alike)
+    a2 = from_spec("A2")
+    with pytest.raises(PreconditionError, match="takes sym firing, got tr"):
+        decomposition_check(a2, coord_box(a2, 1), FiringParams.make("tr", 1))
+
+
 def test_decomposition_check_labels_five_times_per_weight(monkeypatch):
     calls = []
 
@@ -350,10 +358,10 @@ def test_full_dim_labels_obey_the_point_cap():
 
 def test_conjecture_scan_reports():
     a2 = from_spec("A2")
-    rows = conjecture_scan(a2, full_dim_labels(a2, dominant_only=True), "sym")
+    rows = [fit_ehrhart_like(a2, lam, "sym") for lam in full_dim_labels(a2, dominant_only=True)]
     assert {r.label for r in rows} == {(0, 0), (0, 1), (1, 0), (1, 1)}
     assert all(r.integer and r.nonnegative for r in rows)
-    rows = conjecture_scan(a2, full_dim_labels(a2, dominant_only=False), "tr")
+    rows = [fit_ehrhart_like(a2, lam, "tr") for lam in full_dim_labels(a2, dominant_only=False)]
     assert len(rows) == 13
     assert all(r.polynomial.constant_term() == 1 for r in rows)
 

@@ -57,7 +57,10 @@ def test_firing_params_validation():
             FiringParams.make("central", *ks)
     assert FiringParams.make("central", 0) == FiringParams(kind="central")
     assert FiringParams.make("sym", 0, 1).is_good(from_spec("B2")) is False
-    assert FiringParams.make("sym", 0, 1).is_good(from_spec("A2")) is True
+    assert FiringParams.make("sym", 1, 1).is_good(from_spec("A2")) is True
+    # one root length takes one k, so (0, 1) is neither good nor not on A2
+    with pytest.raises(errors.DomainError, match="A2 has one root length"):
+        FiringParams.make("sym", 0, 1).is_good(from_spec("A2"))
     assert FiringParams.make("sym", 1, 0).is_good(from_spec("B2")) is True
 
 
@@ -132,6 +135,11 @@ def test_eta_composition_and_injectivity(spec):
         p1 = FiringParams.make("sym", ks1, kl1)
         p2 = FiringParams.make("sym", ks2, kl2)
         p12 = FiringParams.make("sym", ks1 + ks2, kl1 + kl2)
+        if rs.simply_laced and ks1 != kl1:
+            # one root length takes one k, so p1 is refused before any weight
+            with pytest.raises(errors.DomainError, match="takes one k"):
+                eta(rs, box[0], p1)
+            continue
         seen = {}
         for w in box:
             assert eta(rs, eta(rs, w, p1), p2) == eta(rs, w, p12)
@@ -210,7 +218,42 @@ def test_rho_of_k_matches_the_symmetrizer_rule(spec):
     for ks, kl in product(range(3), repeat=2):
         oracle = tuple(kl if d == d_long else ks for d in rs.symmetrizer)
         for kind in ("sym", "tr"):
-            assert rho_of_k(rs, FiringParams.make(kind, ks, kl)) == oracle
+            params = FiringParams.make(kind, ks, kl)
+            if rs.simply_laced and ks != kl:
+                with pytest.raises(errors.DomainError, match=f"{spec} has one root length"):
+                    rho_of_k(rs, params)
+            else:
+                assert rho_of_k(rs, params) == oracle
+
+
+ONE_K_READERS = {
+    "rho_of_k": lambda rs, p, w: rho_of_k(rs, p),
+    "eta": lambda rs, p, w: eta(rs, w, p),
+    "eta_inverse": lambda rs, p, w: eta_inverse(rs, w, p),
+    "bounding_center": lambda rs, p, w: bounding_center(rs, w, p),
+    "is_good": lambda rs, p, w: p.is_good(rs),
+    "require_good": lambda rs, p, w: firing.require_good(rs, p, force=True),
+    "fiber": lambda rs, p, w: fiber(rs, w, p, force=True),
+    "stabilize": lambda rs, p, w: stabilize(rs, w, p),
+    "stabilization_label": lambda rs, p, w: stabilization_label(rs, w, p),
+    "component": lambda rs, p, w: component(rs, w, p),
+    "neighbors": lambda rs, p, w: neighbors(rs, w, p),
+    "reachable_sinks": lambda rs, p, w: reachable_sinks(rs, p, [w]),
+    "build_graph": lambda rs, p, w: build_graph(rs, [w], p),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_K_READERS))
+@pytest.mark.parametrize("spec, kind, ks, kl", [("A2", "sym", 1, 2), ("D4", "tr", 0, 1)])
+def test_one_root_length_takes_one_k_in_every_reader(name, spec, kind, ks, kl):
+    # FiringParams.k_of alone states the rule; no reader skips it or reads
+    # k_long for both.  The weight (-1, 0, ...) labels no symmetric sink, so
+    # a fiber that looked at the label first would return () unrefused.
+    rs = from_spec(spec)
+    weight = (-1,) + (0,) * (rs.rank - 1)
+    with pytest.raises(errors.DomainError) as exc:
+        ONE_K_READERS[name](rs, FiringParams.make(kind, ks, kl), weight)
+    assert str(exc.value) == f"{spec} has one root length and takes one k, got k=({ks},{kl})"
 
 
 @pytest.mark.parametrize("spec", sorted(s for s in CLASSIFICATION if int(s[1:]) <= 4))
