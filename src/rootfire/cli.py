@@ -171,14 +171,12 @@ def _svg_render(rs, graph: fi.FiringGraph) -> str:
         y = r0 * e1[1] + r1 * e2[1]
         return x, -y  # svg y grows downward
 
-    reps = rsys.minuscule_weights(rs)
+    # a weight's coset of the root lattice is its root_coords mod f; each
+    # coset's colour is its representative's place in minuscule_weights
+    def residue(w):
+        return tuple(x % f for x in rs.root_coords(w))
 
-    def coset(w):
-        for i, om in enumerate(reps):
-            diff = tuple(a - b_ for a, b_ in zip(w, om))
-            if all(x % f == 0 for x in rs.root_coords(diff)):
-                return i
-        return 0
+    coset = {residue(om): i for i, om in enumerate(rsys.minuscule_weights(rs))}
 
     pts = {v: xy(v) for v in graph.vertices}
     xs = [p[0] for p in pts.values()] or [0.0]
@@ -211,7 +209,7 @@ def _svg_render(rs, graph: fi.FiringGraph) -> str:
         )
     for v in graph.vertices:
         x, y = at(v)
-        color = _SVG_COLORS[coset(v) % len(_SVG_COLORS)]
+        color = _SVG_COLORS[coset[residue(v)] % len(_SVG_COLORS)]
         sink = fi.is_sink(rs, v, graph.params)
         fill = color if sink else "white"
         out.append(
@@ -419,12 +417,11 @@ def _suite_iterate(rs, args):
 def _suite_tables(rs, args):
     if rs.spec not in eh.REFERENCE_SYM_POLYS:
         raise UsageError(f"no reference table for {rs.spec}")
-    nvars = 1 if rs.simply_laced else 2
     for kind, tables in (("sym", eh.REFERENCE_SYM_POLYS), ("tr", eh.REFERENCE_TR_POLYS)):
         table = tables.get(rs.spec, {})
         for lam in sorted(table):
             poly = eh.fit_ehrhart_like(rs, lam, kind).polynomial
-            good = poly == eh.reference_poly(table, nvars, lam)
+            good = poly == eh.reference_poly(table, poly.variables, lam)
             # a truncated fit must also have constant term 1
             yield good and (kind == "sym" or poly.constant_term() == 1), (
                 f"{rs.spec} {kind} {_wfmt(lam)}: {poly}"

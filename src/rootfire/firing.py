@@ -19,10 +19,9 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
-from math import isqrt, lcm, prod
+from math import isqrt, prod
 from operator import add, sub
 from typing import Iterable, Literal
 
@@ -625,18 +624,22 @@ class SymmetryReport:
         return not self.violations
 
 
-def ball_region(rs: RootSystem, radius_sq: int, center=None) -> list[Weight]:
-    """Weights within a squared distance of a (possibly rational) center c/s.
+def ball_region(
+    rs: RootSystem, radius_sq: int, c: Weight | None = None, s: int = 1
+) -> list[Weight]:
+    """Weights within a squared distance of the center c/s.
 
-    Metric balls are exactly invariant under the relevant symmetries, unlike
-    coordinate boxes.  The test is ``quad_norm(s*v - c) <= f * s^2 * radius_sq``
-    in integers, over the box |s*v_i - c_i| <= isqrt(2 * radius_sq * s^2 / d_i)
+    ``c`` is an integer weight, zero by default, and ``s`` a positive
+    integer: the symmetric checks center at 0, the truncated ones at rho/h,
+    given as (``rs.rho()``, ``rs.coxeter_number``).  Metric balls are
+    exactly invariant under the relevant symmetries, unlike coordinate
+    boxes.  The test is ``quad_norm(s*v - c) <= f * s^2 * radius_sq`` in
+    integers, over the box |s*v_i - c_i| <= isqrt(2 * radius_sq * s^2 / d_i)
     (Cauchy-Schwarz, as v_i = <v, alpha_i^vee> and |alpha_i^vee|^2 = 2/d_i),
     whose size is checked against the point cap before any point is built.
     """
-    center = [Fraction(x) for x in center or rs.zero()]
-    s = lcm(*(x.denominator for x in center))
-    c, limit = [int(x * s) for x in center], rs.index_of_connection * s * s * radius_sq
+    c = c or rs.zero()
+    limit = rs.index_of_connection * s * s * radius_sq
     spans = [isqrt(2 * radius_sq * s * s // d) for d in rs.symmetrizer]
     axes = [range(-((b - ci) // s), (ci + b) // s + 1) for b, ci in zip(spans, c)]
     size = prod(map(len, axes))
@@ -675,7 +678,7 @@ def graph_symmetry_check(
         region = ball_region(rs, r2)
         maps = [(f"s{i}", partial(reflect_simple, rs, i)) for i in range(1, rs.rank + 1)]
     elif params.kind == "truncated":
-        region = ball_region(rs, r2, (Fraction(1, rs.coxeter_number),) * rs.rank)
+        region = ball_region(rs, r2, rs.rho(), rs.coxeter_number)
         maps = [
             (f"C[{i}]", partial(quotient_affine_image, rs, element))
             for i, element in enumerate(subgroup_C(rs))

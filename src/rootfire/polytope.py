@@ -12,7 +12,6 @@ from operator import add, sub
 
 from . import kernel
 from .errors import (
-    DomainError,
     InvariantViolationError,
     PreconditionError,
     ResourceCapError,
@@ -95,9 +94,6 @@ class DiscretePermutohedron:
 
     center: Weight
     points: tuple[Weight, ...]
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 # the root-order half of ``perm_contains``: the fits on A3, B3 and A4 of
@@ -240,31 +236,22 @@ def traverse_bruteforce(rs: RootSystem, lam_dom: Weight) -> tuple[int, ...]:
 def is_funny(rs: RootSystem, lam_dom: Weight) -> bool:
     """Whether the long-root traverse length drops below the generic value.
 
-    Only possible with two root lengths: requires coordinate 0 at the short
-    node of the unique long-short Dynkin edge, at least 1 at its long node,
-    and no smaller coordinate at any other long node.
+    Only possible with two root lengths, whose Dynkin diagram has one
+    long-short edge.  In ``rs.dynkin_links`` the long node of that edge
+    is the only node with a link of -2 or -3, and the link names its
+    short node.  A weight is funny when its coordinate at the short node
+    is 0 and its coordinate at the long node is at least 1 and the least
+    at any long node.
     """
     require_dominant(lam_dom)
     if rs.simply_laced:
         return False
-    d_long = max(rs.symmetrizer)
-    pair = [
-        (i, j)
-        for i in range(rs.rank)
-        for j in range(rs.rank)
-        if rs.cartan[i][j] != 0
-        and i != j
-        and rs.symmetrizer[i] == d_long
-        and rs.symmetrizer[j] < d_long
+    [(l_node, s_node)] = [
+        (i, k) for i, links in enumerate(rs.dynkin_links) for k, a in links if a < -1
     ]
-    if len(pair) != 1:
-        raise DomainError("expected a unique adjacent long-short node pair")
-    l_node, s_node = pair[0]
-    c_l = lam_dom[l_node]
-    if lam_dom[s_node] != 0 or c_l < 1:
-        return False
-    return all(
-        lam_dom[i] >= c_l for i in range(rs.rank) if rs.symmetrizer[i] == d_long
+    d_long = rs.symmetrizer[l_node]
+    return lam_dom[s_node] == 0 and 1 <= lam_dom[l_node] == min(
+        c for c, d in zip(lam_dom, rs.symmetrizer) if d == d_long
     )
 
 

@@ -199,7 +199,9 @@ class RootSystem:
         coordinates at these positions.
     weight_of : the weight of a pairing vector, the tuple of its entries
         at ``simple_positions``.
-    root_d : per-root half squared length; ``length_class`` tags long/short.
+    root_d : per-root half squared length d_alpha = <alpha, alpha>/2 under
+        the symmetrized form, read from ``quad_norm`` of the root's weight
+        coordinates; ``length_class`` tags long/short.
     highest_root, highest_short_root : indices into ``pos_roots``.
     coxeter_number, index_of_connection : the invariants h and f.
     minuscule : frozenset of 1-based node indices of minuscule weights.
@@ -230,7 +232,7 @@ class RootSystem:
             tuple(sum(a * self.cartan[i][j] for i, a in enumerate(r)) for j in range(rank))
             for r in self.pos_roots
         )
-        self.root_d = tuple(self._half_norm(r) for r in self.pos_roots)
+        self.root_d = tuple(map(self._half_norm, self.pos_root_weights))
         long_d = max(self.root_d)
         self.length_class = tuple("long" if d == long_d else "short" for d in self.root_d)
         self.pos_coroots = tuple(
@@ -279,17 +281,15 @@ class RootSystem:
                     queue.append(w)
         return tuple(sorted(seen, key=lambda r: (sum(r), r)))
 
-    def _half_norm(self, root: RootVec) -> int:
-        """d_alpha = <alpha, alpha>/2 under the symmetrized form."""
-        n = self.rank
-        q = sum(
-            root[i] * root[j] * self.symmetrizer[j] * self.cartan[i][j]
-            for i in range(n)
-            for j in range(n)
-        )
-        if q <= 0 or q % 2:
-            raise InvariantViolationError(f"bad squared length for {root}")
-        return q // 2
+    def _half_norm(self, root_weight: Weight) -> int:
+        """d_alpha = <alpha, alpha>/2, from alpha in weight coordinates.
+
+        ``quad_norm`` gives f * <alpha, alpha>, so d_alpha is that over 2f.
+        """
+        d_alpha, rest = divmod(self.quad_norm(root_weight), 2 * self.index_of_connection)
+        if d_alpha <= 0 or rest:
+            raise InvariantViolationError(f"bad squared length for {root_weight}")
+        return d_alpha
 
     def _coroot_coords(self, root: RootVec, d_alpha: int) -> tuple[int, ...]:
         out = []

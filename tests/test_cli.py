@@ -3,7 +3,9 @@
 import dataclasses
 import json
 import os
+import re
 import threading
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -202,6 +204,39 @@ def test_graph_formats_and_determinism(capsys, tmp_path):
     assert code == 0 and target.read_text().startswith("<svg")
 
 
+_CIRCLE = re.compile(
+    r'<circle [^>]*fill="([^"]+)" stroke="([^"]+)"[^>]*><title>([-0-9,]+)</title>'
+)
+
+
+# circles per stroke colour: A2 has three cosets of the root lattice, B2 two, G2 one
+@pytest.mark.parametrize("spec,sizes", [("A2", [9, 8, 8]), ("B2", [15, 10]), ("G2", [25])])
+def test_svg_colours_cosets_and_fills_sinks(capsys, spec, sizes):
+    rs = from_spec(spec)
+    code, out, _ = run(capsys, "graph", spec, "sym", "1", "--box", "2", "--format", "svg")
+    circles = [
+        (fill, stroke, tuple(map(int, w.split(","))))
+        for fill, stroke, w in _CIRCLE.findall(out)
+    ]
+    assert code == 0 and len(circles) == 25
+    strokes = Counter(stroke for _, stroke, _ in circles)
+    assert sorted(strokes.values(), reverse=True) == sizes
+    # one colour per coset: each colour's weights share one coset, no two colours one
+    f = rs.index_of_connection
+    cosets = {
+        stroke: {tuple(x % f for x in rs.root_coords(w)) for _, s, w in circles if s == stroke}
+        for stroke in strokes
+    }
+    assert all(len(c) == 1 for c in cosets.values())
+    assert len(set().union(*cosets.values())) == len(strokes)
+    # a sink is filled with its stroke colour, every other weight white
+    assert all(fill in ("white", stroke) for fill, stroke, _ in circles)
+    filled = sorted(w for fill, _, w in circles if fill != "white")
+    sym1 = fi.FiringParams.make("sym", 1)
+    sinks = [w for w in fi.coord_box(rs, 2) if fi.is_sink(rs, w, sym1)]
+    assert filled == sinks and len(sinks) == 4
+
+
 def test_graph_cap_exit_3(capsys, monkeypatch):
     # an over-cap box is refused from its size alone, before any point is made
     def no_points(*args, **kwargs):
@@ -304,6 +339,9 @@ def test_ehrhart_text_and_json(capsys):
     data = json.loads(out)
     assert data["integer"] and data["nonnegative"]
     assert {"exp": [1, 1], "num": 4, "den": 1} in data["monomials"]
+    code, out, _ = run(capsys, "ehrhart", "B2", "tr", "0,0")
+    assert code == 0
+    assert out.splitlines()[-1] == "notes: two-length-truncated-fit-unproven"
 
 
 def test_verify_rank_guard(capsys):

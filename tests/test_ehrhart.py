@@ -2,7 +2,8 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import gcd
 
 import pytest
 
@@ -44,6 +45,8 @@ def test_polynomial_basics():
     assert q.evaluate(2, 3) == 2
     assert not q.is_integer() and not q.is_nonnegative()
     assert q.total_degree() == 2
+    with pytest.raises(PreconditionError, match="^expected 1 arguments$"):
+        p.evaluate(2, 3)
 
 
 def _lagrange_interpolate(axes, values):
@@ -124,6 +127,51 @@ def test_fit_kind_aliases():
     with pytest.raises(PreconditionError) as exc:
         fit_ehrhart_like(a2, (0, 0), "central")
     assert str(exc.value) == "central firing does not stabilize; explore its graph"
+
+
+def _det(rows):
+    """Determinant by cofactor expansion along the first row."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * a * _det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j, a in enumerate(rows[0])
+        if a
+    )
+
+
+def _zonotope_count(rs):
+    """Stanley's count of the root lattice points of the sum of the [0, k_a * a].
+
+    The sum is over the positive roots a, with k_a = k_short or k_long by
+    a's length.  The count is the sum over the linearly independent sets S
+    of positive roots of m(S) * prod(k_a for a in S), where m(S) is the gcd
+    of the maximal minors of S in simple-root coordinates (Beck and Robins,
+    *Computing the Continuous Discretely*, ch. 9).
+    """
+    two = not rs.simply_laced
+    coeffs = {}
+    for size in range(rs.rank + 1):
+        for subset in combinations(range(len(rs.pos_roots)), size):
+            rows = [rs.pos_roots[i] for i in subset]
+            m = gcd(*(
+                _det([[r[j] for j in cols] for r in rows])
+                for cols in combinations(range(rs.rank), size)
+            ))
+            if m:
+                longs = sum(rs.length_class[i] == "long" for i in subset)
+                exp = (size - longs, longs) if two else (size,)
+                coeffs[exp] = coeffs.get(exp, 0) + m
+    return LatticePolynomial.from_dict(2 if two else 1, coeffs)
+
+
+# the fiber of label 0 is the zonotope's lattice points, counted without the BFS
+@pytest.mark.parametrize("spec", ["A1", "A2", "B2", "G2", "A3", "B3", "C3"])
+def test_label_zero_fit_is_stanleys_zonotope_count(spec):
+    rs = from_spec(spec)
+    want = _zonotope_count(rs)
+    for kind in ("sym", "tr"):
+        assert fit_ehrhart_like(rs, rs.zero(), kind).polynomial == want, kind
 
 
 @pytest.mark.parametrize("spec", ["A2", "B2", "G2"])

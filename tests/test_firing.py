@@ -56,6 +56,7 @@ def test_firing_params_validation():
         with pytest.raises(errors.DomainError, match="central firing takes no k"):
             FiringParams.make("central", *ks)
     assert FiringParams.make("central", 0) == FiringParams(kind="central")
+    assert FiringParams(kind="central").is_good(from_spec("A2")) is False
     assert FiringParams.make("sym", 0, 1).is_good(from_spec("B2")) is False
     assert FiringParams.make("sym", 1, 1).is_good(from_spec("A2")) is True
     # one root length takes one k, so (0, 1) is neither good nor not on A2
@@ -903,13 +904,15 @@ def _fraction_ball(rs, radius_sq, center, bound):
 )
 def test_integer_ball_matches_the_rational_formula(spec, k_max):
     rs = from_spec(spec)
-    centers = [(0,) * rs.rank, (Fraction(1, rs.coxeter_number),) * rs.rank]
+    # the centers c/s of the symmetric and truncated checks: 0 and rho/h
+    centers = [(rs.zero(), 1), (rs.rho(), rs.coxeter_number)]
     for k in range(k_max + 1):
         r2 = (2 * k + 2) ** 2 * max(rs.symmetrizer)
-        for center in centers:
+        for c, s in centers:
+            center = [Fraction(x, s) for x in c]
             # a box wider than the one scanned, so its bound is checked too
             want = _fraction_ball(rs, r2, center, isqrt(4 * r2 + 4) + 2)
-            assert ball_region(rs, r2, center) == want, (k, center)
+            assert ball_region(rs, r2, c, s) == want, (k, c, s)
 
 
 # (vertices, edges) on the ball of radius 2k + 2 for k = 0, 1, 2, each sym then tr
@@ -940,6 +943,8 @@ def test_symmetry_check_fails_on_maps_that_are_not_symmetries(monkeypatch):
     a2 = from_spec("A2")
     assert graph_symmetry_check(a2, SYM1, 4).violations == ()
     assert graph_symmetry_check(a2, TR1, 4).violations == ()
+    with pytest.raises(errors.PreconditionError, match="symmetric/truncated"):
+        graph_symmetry_check(a2, FiringParams(kind="central"), 4)
     # a translation by the first fundamental weight in place of each s_i
     monkeypatch.setattr(
         firing, "reflect_simple", lambda rs, i, v: tuple(map(add, v, rs.fundamental_weight(1)))

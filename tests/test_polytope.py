@@ -134,7 +134,7 @@ def test_perm_size_monotone_in_root_order():
     for a in doms:
         for b in doms:
             if root_order_leq(rs, a, b):
-                assert len(enumerate_perm(rs, a)) <= len(enumerate_perm(rs, b))
+                assert len(enumerate_perm(rs, a).points) <= len(enumerate_perm(rs, b).points)
 
 
 def test_enumerate_perm_cap():
@@ -174,19 +174,20 @@ def fresh_orbits(monkeypatch):
 def test_enumerate_perm_cap_is_the_same_from_the_orbit_memo(fresh_orbits, monkeypatch):
     rs = from_spec("A2")
     full = enumerate_perm(rs, (9, 9))
+    size = len(full.points)
     held = dict(polytope._ORBITS)
-    assert sum(map(len, held.values())) == len(full) == polytope._orbit_points
+    assert sum(map(len, held.values())) == size == polytope._orbit_points
 
     def no_walk(rs, nu):
         raise AssertionError(f"walked the orbit of {nu}")
 
     monkeypatch.setattr(polytope, "_iter_orbit", no_walk)
-    for cap in (1, 6, 10, 50, len(full) - 1):
+    for cap in (1, 6, 10, 50, size - 1):
         with pytest.raises(errors.ResourceCapError) as exc, scoped_cap(cap):
             enumerate_perm(rs, (9, 9))
         assert str(exc.value) == f"permutohedron of (9, 9) exceeds the cap of {cap} points"
     assert polytope._ORBITS == held
-    with scoped_cap(len(full)):
+    with scoped_cap(size):
         assert enumerate_perm(rs, (9, 9)) == full
 
 
@@ -355,12 +356,26 @@ def test_funny_weights():
     b3 = from_spec("B3")
     assert is_funny(b3, (1, 1, 0))
     assert not is_funny(b3, (0, 1, 0))  # first long coordinate below the pair's
+    g2 = from_spec("G2")
+    assert is_funny(g2, (0, 1)) and not is_funny(g2, (1, 1))
+    f4 = from_spec("F4")  # the long-short edge joins nodes 2 and 3
+    assert is_funny(f4, (1, 1, 0, 1))
+    assert not is_funny(f4, (0, 1, 0, 0)) and not is_funny(f4, (1, 0, 1, 0))
 
 
-@pytest.mark.parametrize("spec", ["A2", "B2", "G2"])
+# largest center coordinate per system: 640 centers in all, funny ones
+# among them on the two-length types
+ORACLE_CMAX = {
+    "A2": 5, "B2": 5, "G2": 5, "A3": 3, "B3": 3, "C3": 3,
+    "A4": 2, "B4": 2, "C4": 2, "D4": 2, "F4": 1,
+}
+
+
+# F4's long-short edge is in the middle of its diagram, B's and C's at an end
+@pytest.mark.parametrize("spec", list(ORACLE_CMAX))
 def test_traverse_formula_matches_bruteforce(spec):
     rs = from_spec(spec)
-    for lam in product(range(4), repeat=rs.rank):
+    for lam in product(range(ORACLE_CMAX[spec] + 1), repeat=rs.rank):
         assert traverse_bruteforce(rs, lam) == traverse_formula(rs, lam), (spec, lam)
 
 
@@ -380,14 +395,6 @@ def _tuple_scan(rs, points):
         )
         for step, coroot in zip(rs.pos_root_weights, rs.pos_coroots)
     )
-
-
-# largest center coordinate per system: 640 centers in all, funny ones
-# among them on the two-length types
-ORACLE_CMAX = {
-    "A2": 5, "B2": 5, "G2": 5, "A3": 3, "B3": 3, "C3": 3,
-    "A4": 2, "B4": 2, "C4": 2, "D4": 2, "F4": 1,
-}
 
 
 # the slice search of ``traverse_bruteforce`` against the full scan

@@ -132,6 +132,9 @@ def test_a2_positive_roots():
     rs = from_spec("A2")
     assert set(rs.pos_roots) == {(1, 0), (0, 1), (1, 1)}
     assert rs.pos_roots[rs.highest_root] == (1, 1)
+    with pytest.raises(errors.DomainError) as exc:
+        rs.root_index((2, 1))
+    assert str(exc.value) == "(2, 1) is not a positive root of A2"
 
 
 def test_a1_positive_roots():
