@@ -267,12 +267,13 @@ def cmd_ehrhart(args) -> int:
     rs = rsys.from_spec(args.system)
     label = _parse_weight(rs, args.label)
     rep = eh.fit_ehrhart_like(rs, label, args.kind, args.degree)
+    poly = rep.polynomial
     if args.format == "json":
         _emit(json.dumps(rep.to_json_obj(), indent=2, sort_keys=True) + "\n", args.out)
     else:
         lines = [
-            f"{rs.spec} {rep.kind} label {_wfmt(label)}: {rep.polynomial}",
-            f"integer coefficients: {rep.integer}; nonnegative: {rep.nonnegative}",
+            f"{rs.spec} {rep.kind} label {_wfmt(label)}: {poly}",
+            f"integer coefficients: {poly.is_integer()}; nonnegative: {poly.is_nonnegative()}",
         ]
         if rep.notes:
             lines.append("notes: " + ", ".join(rep.notes))
@@ -439,10 +440,11 @@ def _suite_conjectures(rs, args):
     }
     for kind, scanned in rows.items():
         for row in scanned:
-            extra = f" constant={row.polynomial.constant_term()}" if kind == "tr" else ""
+            poly = row.polynomial
+            extra = f" constant={poly.constant_term()}" if kind == "tr" else ""
             yield None, (
-                f"{rs.spec} {kind} {_wfmt(row.label)}: {row.polynomial} "
-                f"integer={row.integer} nonnegative={row.nonnegative}{extra}"
+                f"{rs.spec} {kind} {_wfmt(row.label)}: {poly} "
+                f"integer={poly.is_integer()} nonnegative={poly.is_nonnegative()}{extra}"
             )
     sym_checks = eh.tr_symmetry_scan(
         rs, eh.full_dim_labels(rs), fi.FiringParams.make("tr", 1, 1)
@@ -512,14 +514,15 @@ def build_parser() -> _Parser:
     p = _Parser(prog="rootfire", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, run):
         sp.add_argument("--out", help="write output to a file instead of stdout")
         sp.add_argument("--max-points", type=int, help="enumeration cap override")
+        sp.set_defaults(run=run)
 
     sp = sub.add_parser("info", help="print root-system data")
     sp.add_argument("system")
     sp.add_argument("--format", default="text", choices=("text", "json"))
-    common(sp)
+    common(sp, cmd_info)
 
     sp = sub.add_parser("stabilize", help="fire a weight until stable")
     sp.add_argument("system")
@@ -528,7 +531,7 @@ def build_parser() -> _Parser:
     sp.add_argument("weight", help="comma-separated coordinates")
     sp.add_argument("--seed", type=int, help="use a seeded-random firing order")
     sp.add_argument("--force", action="store_true", help="allow non-good parameters")
-    common(sp)
+    common(sp, cmd_stabilize)
 
     sp = sub.add_parser("graph", help="export the firing graph on a box")
     sp.add_argument("system")
@@ -536,7 +539,7 @@ def build_parser() -> _Parser:
     sp.add_argument("k", help="k or k_short,k_long")
     sp.add_argument("--box", type=int, default=3, help="coordinate box bound")
     sp.add_argument("--format", default="dot", choices=("dot", "json", "svg"))
-    common(sp)
+    common(sp, cmd_graph)
 
     sp = sub.add_parser("fiber", help="list weights with a given stabilization label")
     sp.add_argument("system")
@@ -545,7 +548,7 @@ def build_parser() -> _Parser:
     sp.add_argument("label")
     sp.add_argument("--force", action="store_true")
     sp.add_argument("--format", default="text", choices=("text", "json"))
-    common(sp)
+    common(sp, cmd_fiber)
 
     sp = sub.add_parser("ehrhart", help="fit a stabilization-count polynomial")
     sp.add_argument("system")
@@ -553,7 +556,7 @@ def build_parser() -> _Parser:
     sp.add_argument("label")
     sp.add_argument("--degree", type=int, help="degree bound (default: rank)")
     sp.add_argument("--format", default="text", choices=("text", "json"))
-    common(sp)
+    common(sp, cmd_ehrhart)
 
     sp = sub.add_parser("verify", help="run a named verification suite")
     suites = sp.add_subparsers(dest="suite", required=True, metavar="suite")
@@ -564,24 +567,16 @@ def build_parser() -> _Parser:
             flags, kwargs = _SUITE_OPTIONS[option]
             ssp.add_argument(*flags, **kwargs)
         ssp.add_argument("--force", action="store_true", help="lift the rank <= 4 default")
-        common(ssp)
+        common(ssp, cmd_verify)
     return p
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        handler = {
-            "info": cmd_info,
-            "stabilize": cmd_stabilize,
-            "graph": cmd_graph,
-            "fiber": cmd_fiber,
-            "ehrhart": cmd_ehrhart,
-            "verify": cmd_verify,
-        }[args.command]
         # the scope checks the cap on entry, so a bad cap fails every command
         with pt.scoped_cap(args.max_points):
-            return handler(args)
+            return args.run(args)
     except (
         UsageError,
         ClassificationError,

@@ -47,9 +47,6 @@ class LatticePolynomial:
         }
         return cls(variables, tuple(sorted(cleaned.items())))
 
-    def as_dict(self) -> dict[Exponent, Fraction]:
-        return dict(self.coeffs)
-
     def evaluate(self, *ks: int) -> Fraction:
         if len(ks) != self.variables:
             raise PreconditionError(f"expected {self.variables} arguments")
@@ -68,7 +65,7 @@ class LatticePolynomial:
         return all(c >= 0 for _, c in self.coeffs)
 
     def constant_term(self) -> Fraction:
-        return self.as_dict().get((0,) * self.variables, Fraction(0))
+        return dict(self.coeffs).get((0,) * self.variables, Fraction(0))
 
     def total_degree(self) -> int:
         return max((sum(e) for e, _ in self.coeffs), default=0)
@@ -131,34 +128,29 @@ def _interpolate(axes: list[list[int]], values: list[int]) -> dict[Exponent, Fra
 
 @dataclass(frozen=True)
 class FitReport:
-    """A fitted counting polynomial plus the evidence behind it."""
+    """A label's fitted polynomial, its samples, the points it was verified at, notes.
+
+    A truncated fit's k = 0 count is held out: it leads ``samples``, marked ``held_out``.
+    """
 
     system: str
     label: Weight
     kind: str
-    variables: int
     polynomial: LatticePolynomial
     samples: tuple[dict, ...]
     verified_at: tuple[dict, ...]
     notes: tuple[str, ...] = field(default_factory=tuple)
 
-    @property
-    def integer(self) -> bool:
-        return self.polynomial.is_integer()
-
-    @property
-    def nonnegative(self) -> bool:
-        return self.polynomial.is_nonnegative()
-
     def to_json_obj(self) -> dict:
+        poly = self.polynomial
         return {
             "system": self.system,
             "label": list(self.label),
             "kind": self.kind,
-            "variables": self.variables,
-            "monomials": self.polynomial.monomials_json(),
-            "integer": self.integer,
-            "nonnegative": self.nonnegative,
+            "variables": poly.variables,
+            "monomials": poly.monomials_json(),
+            "integer": poly.is_integer(),
+            "nonnegative": poly.is_nonnegative(),
             "samples": list(self.samples),
             "verified_at": list(self.verified_at),
             "notes": list(self.notes),
@@ -224,7 +216,6 @@ def _fit(rs, label, flavor, counter, degree_bound) -> FitReport:
         system=rs.spec,
         label=tuple(label),
         kind=flavor,
-        variables=len(axes),
         polynomial=poly,
         samples=tuple(samples),
         verified_at=tuple(verified),
@@ -267,11 +258,8 @@ def perm_ehrhart(
 
 @dataclass(frozen=True)
 class DecompositionReport:
-    """Pointwise check of the two stabilization decomposition identities."""
+    """The weights checked, and those that break each decomposition identity."""
 
-    system: str
-    k_short: int
-    k_long: int
     num_weights: int
     sym_failures: tuple[Weight, ...]
     tr_failures: tuple[Weight, ...]
@@ -313,9 +301,6 @@ def decomposition_check(
         if stabilization_label(rs, mu, tr_k1) != stabilization_label(rs, sym_label, tr_1):
             tr_fail.append(mu)
     return DecompositionReport(
-        system=rs.spec,
-        k_short=params.k_short,
-        k_long=params.k_long,
         num_weights=count,
         sym_failures=tuple(sym_fail),
         tr_failures=tuple(tr_fail),
@@ -325,11 +310,9 @@ def decomposition_check(
 
 @dataclass(frozen=True)
 class IterateReport:
-    """Iterated unit-step preimage counts against the fitted polynomial."""
+    """Sizes of the k-fold unit-step preimages and the fit's values, k = 1..k_max."""
 
-    system: str
-    label: Weight
-    counts: tuple[int, ...]  # sizes of the k-fold preimages, k = 1..k_max
+    counts: tuple[int, ...]
     fitted: tuple[int, ...]
 
     @property
@@ -359,9 +342,7 @@ def iterate_check(rs: RootSystem, label: Weight, k_max: int) -> IterateReport:
         current = nxt
         counts.append(len(current))
     fitted = [int(fit.polynomial.evaluate(k)) for k in range(1, k_max + 1)]
-    return IterateReport(
-        system=rs.spec, label=tuple(label), counts=tuple(counts), fitted=tuple(fitted)
-    )
+    return IterateReport(counts=tuple(counts), fitted=tuple(fitted))
 
 
 def full_dim_labels(rs: RootSystem, dominant_only: bool = True) -> tuple[Weight, ...]:

@@ -577,9 +577,17 @@ def coord_box(rs: RootSystem, bound: int) -> list[Weight]:
 def build_graph(
     rs: RootSystem, region: Iterable[Weight], params: FiringParams
 ) -> FiringGraph:
-    """Graph induced on a finite region: edges with both endpoints inside."""
-    vertices = tuple(sorted({tuple(v) for v in region}))
-    require_within_cap(len(vertices), "region")
+    """Graph induced on a finite region: edges with both endpoints inside.
+
+    The region is read only until it passes the point cap, which refuses it.
+    """
+    cap = point_cap()
+    seen: set[Weight] = set()
+    for v in region:
+        seen.add(tuple(v))
+        if len(seen) > cap:
+            require_within_cap(len(seen), "region")
+    vertices = tuple(sorted(seen))
     index = {v: i for i, v in enumerate(vertices)}
     edges = []
     for v in vertices:
@@ -612,8 +620,8 @@ def reachable_central_sinks(rs: RootSystem, weight: Weight) -> tuple[Weight, ...
 
 @dataclass(frozen=True)
 class SymmetryReport:
-    system: str
-    params: FiringParams
+    """A ball's vertex and undirected edge counts, the maps applied, the edges broken."""
+
     num_vertices: int
     num_edges: int
     maps_checked: int
@@ -698,8 +706,6 @@ def graph_symmetry_check(
             if (min(iv, iw), max(iv, iw)) not in present:
                 violations.append(f"{name} breaks edge {v} -- {w}")
     return SymmetryReport(
-        system=rs.spec,
-        params=params,
         num_vertices=len(vertices),
         num_edges=len(edges),
         maps_checked=len(maps),

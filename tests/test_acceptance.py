@@ -234,7 +234,8 @@ def test_criterion_11_fit_consistency():
         for lam in labels:
             rep = perm_ehrhart(rs, lam)
             assert len(rep.verified_at) >= 2
-            assert rep.integer and rep.nonnegative, (spec, lam, str(rep.polynomial))
+            poly = rep.polynomial
+            assert poly.is_integer() and poly.is_nonnegative(), (spec, lam, str(poly))
             fits += 1
         for lam in labels:
             rep = fit_ehrhart_like(rs, lam, "sym")

@@ -1,5 +1,6 @@
 """CLI surface: parsing, output determinism, exit codes."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from rootfire import cli
 from rootfire import ehrhart as eh
 from rootfire import errors
 from rootfire import firing as fi
@@ -47,6 +49,25 @@ def test_info_json(capsys):
     data = json.loads(out)
     assert data["coxeter_number"] == 6
     assert data["minuscule_nodes"] == [3]
+
+
+def _leaf_parsers(parser, path=()):
+    """(command path, parser) for each parser that takes no further subcommand."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, (*path, name))
+
+
+def test_every_command_parser_carries_its_run():
+    # the parser is the command table: main runs whatever the parsed leaf names
+    runs = {path: sub.get_default("run") for path, sub in _leaf_parsers(cli.build_parser())}
+    commands = ("info", "stabilize", "graph", "fiber", "ehrhart")
+    expected = {(name,): getattr(cli, f"cmd_{name}") for name in commands}
+    expected.update({("verify", suite): cli.cmd_verify for suite in cli.SUITES})
+    assert runs == expected
 
 
 def test_usage_errors_exit_1(capsys):
@@ -628,6 +649,24 @@ def test_each_suite_fails_on_a_failed_check(capsys, monkeypatch, suite):
     assert code == 2, out
     assert set(expected) <= set(lines), out
     assert lines[-1] == f"suite {suite} on A2: FAIL"
+
+
+def test_b2_nonescape_fails_without_the_known_escaping_edge(capsys, monkeypatch):
+    # the origin fires nowhere under the non-good sym k=(0,1), so its known
+    # escaping edge 0 -> a1 is gone; the good rows are untouched
+    real = fi.neighbors
+    bad = fi.FiringParams.make("sym", 0, 1)
+    monkeypatch.setattr(
+        fi, "neighbors",
+        lambda rs, v, params: [] if params == bad and not any(v) else real(rs, v, params),
+    )
+    code, out, _ = run(capsys, "verify", "nonescape", "B2", "--k", "0")
+    assert code == 2, out
+    assert out.splitlines() == [
+        "ok - B2 sym k=(0,0) non-escaping on 4 permutohedra",
+        "FAIL - B2 sym k=(0,1) does not reproduce the known escaping edge",
+        "suite nonescape on B2: FAIL",
+    ]
 
 
 def test_conjectures_never_fail(capsys, monkeypatch):

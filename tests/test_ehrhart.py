@@ -271,7 +271,7 @@ def test_perm_ehrhart_examples():
     assert rep.polynomial == poly1({(2,): 3, (1,): 3, (0,): 1})
     rep = perm_ehrhart(from_spec("B2"), (0, 1))
     assert rep.polynomial == reference_poly(REFERENCE_SYM_POLYS["B2"], 2, (0, 1))
-    assert rep.integer and rep.nonnegative
+    assert rep.polynomial.is_integer() and rep.polynomial.is_nonnegative()
 
 
 @pytest.mark.parametrize("spec", ["A2", "B2", "G2", "A3"])
@@ -280,7 +280,8 @@ def test_perm_ehrhart_nonnegative_integer(spec):
     labels = [rs.zero()] + [rs.fundamental_weight(i) for i in range(1, rs.rank + 1)]
     for lam in labels:
         rep = perm_ehrhart(rs, lam)
-        assert rep.integer and rep.nonnegative, (spec, lam, str(rep.polynomial))
+        poly = rep.polynomial
+        assert poly.is_integer() and poly.is_nonnegative(), (spec, lam, str(poly))
 
 
 def test_perm_ehrhart_matches_sym_fit_on_coset_reps():
@@ -305,6 +306,37 @@ def test_decomposition_check():
     rep = decomposition_check(b2, coord_box(b2, 3), FiringParams.make("sym", 1, 1))
     assert not rep.tr_asserted
     assert not rep.sym_failures
+
+
+def _shift_label_under(monkeypatch, target):
+    # every label stabilized under ``target`` moves by one in each coordinate
+    real = stabilization_label
+
+    def doctored(rs, mu, params):
+        label = real(rs, mu, params)
+        return tuple(x + 1 for x in label) if params == target else label
+
+    monkeypatch.setattr(ehrhart, "stabilization_label", doctored)
+
+
+@pytest.mark.parametrize("spec", ["A2", "B2"])
+def test_decomposition_check_reports_each_identity_that_breaks(monkeypatch, spec):
+    # at k = 1, sym k=0 is read only by the symmetric identity and tr k=2
+    # only by the truncated one, so each doctored label breaks one identity
+    rs = from_spec(spec)
+    region = coord_box(rs, 1)
+    sym1 = FiringParams.make("sym", 1)
+    with monkeypatch.context() as m:
+        _shift_label_under(m, FiringParams.make("sym", 0))
+        rep = decomposition_check(rs, region, sym1)
+    assert rep.sym_failures == tuple(region) and rep.tr_failures == ()
+    assert not rep.passed
+    _shift_label_under(monkeypatch, FiringParams.make("tr", 2))
+    rep = decomposition_check(rs, region, sym1)
+    assert rep.sym_failures == () and rep.tr_failures == tuple(region)
+    # the truncated identity is proven, and so asserted, only for one root length
+    assert rep.tr_asserted == rs.simply_laced
+    assert rep.passed == (not rs.simply_laced)
 
 
 def test_decomposition_check_takes_symmetric_params_only():
@@ -393,6 +425,33 @@ def test_iterate_check():
         iterate_check(a2, (0, 0), 6)
 
 
+def test_iterate_check_refuses_overlapping_unit_step_fibers(monkeypatch):
+    # every unit-step fiber but the label's own gains one shared weight,
+    # so the fit of label 0 is untouched and the second step overlaps
+    real = ehrhart.fiber
+    monkeypatch.setattr(
+        ehrhart, "fiber",
+        lambda rs, mu, params: real(rs, mu, params) + (((9, 9),) if any(mu) else ()),
+    )
+    with pytest.raises(FitInconsistentError) as exc:
+        iterate_check(from_spec("A2"), (0, 0), 2)
+    assert str(exc.value) == "unit-step fibers are not disjoint"
+
+
+def test_tr_fit_notes_a_k0_count_off_its_constant_term(monkeypatch):
+    # the k = 0 count of a truncated fit is held out, not interpolated: a
+    # count off the constant term leaves the fit and adds a note
+    real = ehrhart.count_fiber
+    monkeypatch.setattr(
+        ehrhart, "count_fiber",
+        lambda rs, lam, params: real(rs, lam, params) + (params.k_short == 0),
+    )
+    rep = fit_ehrhart_like(from_spec("A2"), (1, -1), "tr")
+    assert rep.polynomial == poly1({(1,): 2, (0,): 1})
+    assert rep.samples[0] == {"k": 0, "count": 2, "held_out": True}
+    assert rep.notes == ("constant-term-differs-at-k0",)
+
+
 def test_full_dim_labels_obey_the_point_cap():
     # D4's orbits of 0/1 patterns hold 865 labels; the orbit of rho alone 192
     d4 = from_spec("D4")
@@ -408,7 +467,7 @@ def test_conjecture_scan_reports():
     a2 = from_spec("A2")
     rows = [fit_ehrhart_like(a2, lam, "sym") for lam in full_dim_labels(a2, dominant_only=True)]
     assert {r.label for r in rows} == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    assert all(r.integer and r.nonnegative for r in rows)
+    assert all(r.polynomial.is_integer() and r.polynomial.is_nonnegative() for r in rows)
     rows = [fit_ehrhart_like(a2, lam, "tr") for lam in full_dim_labels(a2, dominant_only=False)]
     assert len(rows) == 13
     assert all(r.polynomial.constant_term() == 1 for r in rows)

@@ -878,6 +878,25 @@ def test_graph_build_and_serialization():
     assert build_graph(a2, [], SYM0).vertices == ()
 
 
+def test_build_graph_refuses_a_region_as_it_passes_the_cap():
+    # the region is read only until it passes the cap, never drained
+    a2 = from_spec("A2")
+    read = []
+
+    def region():
+        for i in range(10000):
+            read.append(i)
+            yield (i, 0)
+
+    with scoped_cap(10), pytest.raises(errors.ResourceCapError) as exc:
+        build_graph(a2, region(), SYM0)
+    assert str(exc.value) == "region exceeds the cap of 10 points"
+    assert len(read) == 11
+    # repeated weights are one vertex and count once
+    with scoped_cap(1):
+        assert build_graph(a2, [(0, 0)] * 5, SYM0).vertices == ((0, 0),)
+
+
 def test_graph_determinism():
     a2 = from_spec("A2")
     g1 = build_graph(a2, coord_box(a2, 3), TR1)
