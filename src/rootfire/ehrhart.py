@@ -236,9 +236,7 @@ def fit_ehrhart_like(
     return _fit(rs, label, params.short, counter, degree_bound)
 
 
-def perm_ehrhart(
-    rs: RootSystem, lam_dom: Weight, degree_bound: int | None = None
-) -> FitReport:
+def perm_ehrhart(rs: RootSystem, lam_dom: Weight) -> FitReport:
     """Fit the lattice-point count of the permutohedron of ``lam_dom + rho_k``.
 
     The coefficients are nonnegative integers for every dominant center;
@@ -250,7 +248,7 @@ def perm_ehrhart(
         center = bounding_center(rs, lam_dom, FiringParams.make("symmetric", ks, kl))
         return len(enumerate_perm(rs, center).points)
 
-    return _fit(rs, lam_dom, "perm", counter, degree_bound)
+    return _fit(rs, lam_dom, "perm", counter, None)
 
 
 # -- identity checks ----------------------------------------------------------
@@ -432,5 +430,7 @@ REFERENCE_TR_POLYS: dict[str, dict[Weight, dict[Exponent, int]]] = {
 }
 
 
-def reference_poly(table: dict, variables: int, label: Weight) -> LatticePolynomial:
-    return LatticePolynomial.from_dict(variables, table[tuple(label)])
+def reference_poly(table: dict, label: Weight) -> LatticePolynomial:
+    """The tabulated polynomial of ``label``, in as many variables as its exponents."""
+    row = table[tuple(label)]
+    return LatticePolynomial.from_dict(len(next(iter(row))), row)

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 from itertools import product
 from math import isqrt, prod
 from operator import add, sub
-from typing import Iterable, Literal
 
 from . import kernel
 from .errors import (
@@ -44,8 +44,6 @@ from .rootsys import (
     subgroup_C,
 )
 
-Kind = Literal["symmetric", "truncated", "central"]
-
 # each kind's short spelling; either spelling names the kind
 _KIND_SHORT = {"symmetric": "sym", "truncated": "tr", "central": "central"}
 _KIND_LONG = {short: kind for kind, short in _KIND_SHORT.items()}
@@ -55,7 +53,7 @@ _KIND_LONG = {short: kind for kind, short in _KIND_SHORT.items()}
 class FiringParams:
     """Process kind plus the Weyl-invariant parameter (one value per length)."""
 
-    kind: Kind
+    kind: str
     k_short: int = 0
     k_long: int = 0
 
@@ -265,13 +263,14 @@ def _least_budget(m: int, params: FiringParams) -> int:
 
 
 def stabilize(
-    rs: RootSystem,
-    weight: Weight,
-    params: FiringParams,
-    seed: int | None = None,
-    limit: int | None = None,
+    rs: RootSystem, weight: Weight, params: FiringParams, limit: int | None = None
 ) -> Weight:
-    return stabilize_trace(rs, weight, params, seed, limit)[0]
+    """The weight reached by firing the first fireable root until stable.
+
+    ``limit`` ends the run after that many firings.  A seeded-random
+    order goes through ``stabilize_trace``.
+    """
+    return stabilize_trace(rs, weight, params, None, limit)[0]
 
 
 def stabilization_label(
@@ -571,7 +570,7 @@ def coord_box(rs: RootSystem, bound: int) -> list[Weight]:
         raise DomainError(f"box bound must be nonnegative, got {bound}")
     size = (2 * bound + 1) ** rs.rank
     require_within_cap(size, f"box of {size} points")
-    return [tuple(v) for v in product(range(-bound, bound + 1), repeat=rs.rank)]
+    return list(product(range(-bound, bound + 1), repeat=rs.rank))
 
 
 def build_graph(

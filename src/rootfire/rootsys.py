@@ -204,7 +204,9 @@ class RootSystem:
         coordinates; ``length_class`` tags long/short.
     highest_root, highest_short_root : indices into ``pos_roots``.
     coxeter_number, index_of_connection : the invariants h and f.
-    minuscule : frozenset of 1-based node indices of minuscule weights.
+    minuscule : frozenset of 1-based node indices of minuscule weights: the
+        nodes where the highest coroot ``pos_coroots[highest_short_root]``,
+        which bounds every coroot entrywise, has coefficient 1.
     """
 
     def __init__(self, type_letter: str, rank: int):
@@ -255,12 +257,9 @@ class RootSystem:
         self.highest_root = longs[0]
         self.highest_short_root = shorts[0] if shorts else longs[0]
 
-        self.coxeter_number = 1 + sum(self.pos_coroots[self.highest_short_root])
-        self.minuscule = frozenset(
-            j + 1
-            for j in range(rank)
-            if all(r[j] in (0, 1) for r in self.pos_coroots)
-        )
+        top = self.pos_coroots[self.highest_short_root]
+        self.coxeter_number = 1 + sum(top)
+        self.minuscule = frozenset(j + 1 for j, c in enumerate(top) if c == 1)
         self._validate()
 
     # -- construction internals -------------------------------------------
@@ -307,7 +306,7 @@ class RootSystem:
         theta = self.pos_roots[self.highest_root]
         if h != 1 + sum(theta):
             raise InvariantViolationError("Coxeter number mismatch")
-        if any(not root_order_leq_root(self, r, theta) for r in self.pos_roots):
+        if any(a > b for r in self.pos_roots for a, b in zip(r, theta)):
             raise InvariantViolationError("highest root is not a root-order maximum")
         if len(self.minuscule) != self.index_of_connection - 1:
             raise InvariantViolationError("minuscule count disagrees with f - 1")
@@ -455,13 +454,9 @@ def dominant(rs: RootSystem, weight: Weight) -> Weight:
     return tuple(v)
 
 
-def is_dominant(weight: Weight) -> bool:
-    return all(c >= 0 for c in weight)
-
-
 def require_dominant(weight: Weight) -> None:
     """Precondition of everything centered at a dominant weight."""
-    if not is_dominant(weight):
+    if any(c < 0 for c in weight):
         raise PreconditionError(f"{weight} is not dominant")
 
 
@@ -470,10 +465,6 @@ def root_order_leq(rs: RootSystem, mu: Weight, lam: Weight) -> bool:
     diff = tuple(map(sub, lam, mu))
     f = rs.index_of_connection
     return all(x >= 0 and x % f == 0 for x in rs.root_coords(diff))
-
-
-def root_order_leq_root(rs: RootSystem, r1: RootVec, r2: RootVec) -> bool:
-    return all(b - a >= 0 for a, b in zip(r1, r2))
 
 
 def _iter_orbit(rs: RootSystem, weight: Weight):

@@ -18,7 +18,6 @@ from rootfire.ehrhart import (
 )
 from rootfire.firing import (
     FiringParams,
-    check_confluence_random,
     coord_box,
     eta,
     eta_inverse,
@@ -27,7 +26,9 @@ from rootfire.firing import (
     is_sink,
     labels_a_sink,
     neighbors,
+    reachable_sinks,
     rho_of_k,
+    stabilize,
 )
 from rootfire.polytope import enumerate_perm, traverse_bruteforce, traverse_formula
 from rootfire.rootsys import from_spec, minuscule_weights
@@ -44,10 +45,9 @@ def test_criterion_01_symmetric_tables():
     rows = 0
     for spec, table in REFERENCE_SYM_POLYS.items():
         rs = from_spec(spec)
-        nvars = 1 if rs.simply_laced else 2
         for lam, want in table.items():
             rep = fit_ehrhart_like(rs, lam, "sym")
-            assert rep.polynomial == reference_poly(table, nvars, lam), (spec, lam)
+            assert rep.polynomial == reference_poly(table, lam), (spec, lam)
             rows += 1
     elapsed = time.time() - t0
     assert elapsed < 60.0
@@ -60,7 +60,7 @@ def test_criterion_02_truncated_tables():
     assert len(table) == 13
     for lam, want in table.items():
         rep = fit_ehrhart_like(a2, lam, "tr")
-        assert rep.polynomial == reference_poly(table, 1, lam), lam
+        assert rep.polynomial == reference_poly(table, lam), lam
         assert rep.polynomial.constant_term() == 1, lam
     _announce(2, "13 truncated table rows refit exactly, all constant terms 1")
 
@@ -89,6 +89,7 @@ def test_criterion_03_traverse_lengths():
 
 
 def test_criterion_04_confluence():
+    # reachable_sinks certifies every firing order, not a sample of them
     checked = 0
     for spec in RANK2:
         rs = from_spec(spec)
@@ -96,10 +97,10 @@ def test_criterion_04_confluence():
             box = coord_box(rs, 2 * k + 2)
             for kind in ("sym", "tr"):
                 params = FiringParams.make(kind, k, k)
-                for w in box:
-                    assert check_confluence_random(rs, w, params, trials=25, seed=97)
+                for w, sinks in zip(box, reachable_sinks(rs, params, box)):
+                    assert sinks == (stabilize(rs, w, params),), (spec, params, w)
                     checked += 1
-    _announce(4, f"{checked} (weight, process) cells confluent across 25 orders")
+    _announce(4, f"{checked} (weight, process) cells reach one sink in every order")
 
 
 def test_criterion_05_sink_classification():

@@ -302,6 +302,17 @@ def test_traverse_grid_cap_exit_3(capsys, monkeypatch):
     )
 
 
+def test_iterate_checks_each_label_once(capsys):
+    # on A1, rho is omega_1: the suite checks 0 and 1, each once
+    code, out, _ = run(capsys, "verify", "iterate", "A1", "--k", "2")
+    assert (code, out) == (
+        0,
+        "ok - A1 iterate 0: counts [2, 3] vs fitted [2, 3]\n"
+        "ok - A1 iterate 1: counts [3, 4] vs fitted [3, 4]\n"
+        "suite iterate on A1: PASS\n",
+    )
+
+
 def test_iterate_cap_exit_3(capsys):
     # A2's preimage sets of label 0 have 7, 19, 37, 61, 91, 127 points
     code, _, err = run(capsys, "verify", "iterate", "A2", "--k", "6", "--max-points", "100")
@@ -634,7 +645,7 @@ FAILING_CHECKS = {
     ),
     "tables": (
         eh, "reference_poly",
-        lambda real: lambda table, n, label: eh.LatticePolynomial.from_dict(n, {}),
+        lambda real: lambda table, label: eh.LatticePolynomial.from_dict(1, {}),
         ["FAIL - A2 sym 0,0: 3*k^2 + 3*k + 1"],
     ),
 }

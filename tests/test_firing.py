@@ -56,6 +56,7 @@ def test_firing_params_validation():
         with pytest.raises(errors.DomainError, match="central firing takes no k"):
             FiringParams.make("central", *ks)
     assert FiringParams.make("central", 0) == FiringParams(kind="central")
+    assert FiringParams(kind="central").label() == "central"
     assert FiringParams(kind="central").is_good(from_spec("A2")) is False
     assert FiringParams.make("sym", 0, 1).is_good(from_spec("B2")) is False
     assert FiringParams.make("sym", 1, 1).is_good(from_spec("A2")) is True
@@ -479,10 +480,10 @@ def test_fiber_checks_each_member_once(monkeypatch):
     rs = from_spec("A3")
     real, visits = fi.stabilize, []
 
-    def recording(rs_, v, params, seed=None, limit=None):
+    def recording(rs_, v, params, limit=None):
         if limit is not None:  # a member check, not the label's stabilization
             visits.append(v)
-        return real(rs_, v, params, seed, limit)
+        return real(rs_, v, params, limit)
 
     monkeypatch.setattr(fi, "stabilize", recording)
     fib = fiber(rs, (1, 1, 1), SYM1)
@@ -502,10 +503,10 @@ def test_fiber_check_catches_a_member_sent_elsewhere(monkeypatch, which):
     assert (target == sink) == (which == 0)
     real = fi.stabilize
 
-    def wrong(rs_, v, params_, seed=None, limit=None):
+    def wrong(rs_, v, params_, limit=None):
         if v == target and limit is not None:
             return elsewhere
-        return real(rs_, v, params_, seed, limit)
+        return real(rs_, v, params_, limit)
 
     monkeypatch.setattr(fi, "stabilize", wrong)
     with pytest.raises(errors.InvariantViolationError, match="stabilizes elsewhere"):
@@ -685,7 +686,7 @@ def test_the_walk_holds_every_order_to_the_step_budget(monkeypatch):
     with pytest.raises(errors.StepBudgetError, match=message):
         cli.main(["verify", "confluence", "A2", "--k", "0", "--trials", "2"])
     with pytest.raises(errors.StepBudgetError, match=message):
-        stabilize(from_spec("A2"), (0, 0), SYM1, seed=3)
+        stabilize_trace(from_spec("A2"), (0, 0), SYM1, seed=3)
     a2 = from_spec("A2")
     assert reachable_sinks(a2, SYM1, [(1, 1)]) == [((1, 1),)]
 

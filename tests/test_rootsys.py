@@ -130,6 +130,7 @@ def test_parse_is_case_insensitive():
 
 def test_a2_positive_roots():
     rs = from_spec("A2")
+    assert repr(rs) == "RootSystem(A2)"
     assert set(rs.pos_roots) == {(1, 0), (0, 1), (1, 1)}
     assert rs.pos_roots[rs.highest_root] == (1, 1)
     with pytest.raises(errors.DomainError) as exc:
