@@ -17,7 +17,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict
 from itertools import product
 
 from . import ehrhart as eh
@@ -248,7 +247,7 @@ def cmd_fiber(args) -> int:
         obj = {
             "system": rs.spec,
             "label": list(label),
-            "params": asdict(params),
+            "params": params._asdict(),
             "size": len(pts),
             "weights": [list(v) for v in pts],
         }

@@ -8,8 +8,7 @@ fit is verified at held-out points with zero residual.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -29,16 +28,15 @@ from .rootsys import RootSystem, Weight, require_dominant, subgroup_C, weyl_orbi
 Exponent = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class LatticePolynomial:
+class LatticePolynomial(namedtuple("LatticePolynomial", "variables coeffs")):
     """Polynomial with exact rational coefficients in 1 or 2 variables.
 
-    Exponent keys are ``(e,)`` for one variable (k) and ``(e_s, e_l)``
-    for two (k_short, k_long).
+    ``coeffs`` is a sorted tuple of (exponent, Fraction) pairs.  Exponent
+    keys are ``(e,)`` for one variable (k) and ``(e_s, e_l)`` for two
+    (k_short, k_long).
     """
 
-    variables: int
-    coeffs: tuple[tuple[Exponent, Fraction], ...]
+    __slots__ = ()
 
     @classmethod
     def from_dict(cls, variables: int, coeffs: dict) -> "LatticePolynomial":
@@ -126,20 +124,19 @@ def _interpolate(axes: list[list[int]], values: list[int]) -> dict[Exponent, Fra
     return coeffs
 
 
-@dataclass(frozen=True)
-class FitReport:
+class FitReport(
+    namedtuple(
+        "FitReport",
+        "system label kind polynomial samples verified_at notes",
+        defaults=((),),
+    )
+):
     """A label's fitted polynomial, its samples, the points it was verified at, notes.
 
     A truncated fit's k = 0 count is held out: it leads ``samples``, marked ``held_out``.
     """
 
-    system: str
-    label: Weight
-    kind: str
-    polynomial: LatticePolynomial
-    samples: tuple[dict, ...]
-    verified_at: tuple[dict, ...]
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    __slots__ = ()
 
     def to_json_obj(self) -> dict:
         poly = self.polynomial
@@ -254,14 +251,15 @@ def perm_ehrhart(rs: RootSystem, lam_dom: Weight) -> FitReport:
 # -- identity checks ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    """The weights checked, and those that break each decomposition identity."""
+class DecompositionReport(
+    namedtuple("DecompositionReport", "num_weights sym_failures tr_failures tr_asserted")
+):
+    """The weights checked, and those that break each decomposition identity.
 
-    num_weights: int
-    sym_failures: tuple[Weight, ...]
-    tr_failures: tuple[Weight, ...]
-    tr_asserted: bool  # proven only with a single root length
+    ``tr_asserted``: the truncated identity is proven only with a single root length.
+    """
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -306,12 +304,10 @@ def decomposition_check(
     )
 
 
-@dataclass(frozen=True)
-class IterateReport:
+class IterateReport(namedtuple("IterateReport", "counts fitted")):
     """Sizes of the k-fold unit-step preimages and the fit's values, k = 1..k_max."""
 
-    counts: tuple[int, ...]
-    fitted: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

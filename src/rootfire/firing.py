@@ -17,9 +17,8 @@ confluent and is exposed only as an explorable relation.
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import deque, namedtuple
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 from itertools import product
 from math import isqrt, prod
@@ -49,23 +48,24 @@ _KIND_SHORT = {"symmetric": "sym", "truncated": "tr", "central": "central"}
 _KIND_LONG = {short: kind for kind, short in _KIND_SHORT.items()}
 
 
-@dataclass(frozen=True)
-class FiringParams:
+class FiringParams(namedtuple("FiringParams", "kind k_short k_long")):
     """Process kind plus the Weyl-invariant parameter (one value per length)."""
 
-    kind: str
-    k_short: int = 0
-    k_long: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in _KIND_SHORT:
-            raise DomainError(f"unknown firing kind {self.kind!r}")
-        if self.k_short < 0 or self.k_long < 0:
+    def __new__(cls, kind: str, k_short: int = 0, k_long: int = 0) -> "FiringParams":
+        if kind not in _KIND_SHORT:
+            raise DomainError(f"unknown firing kind {kind!r}")
+        if k_short < 0 or k_long < 0:
             raise DomainError("firing parameters must be nonnegative")
-        if self.kind == "central" and (self.k_short or self.k_long):
-            raise DomainError(
-                f"central firing takes no k, got k=({self.k_short},{self.k_long})"
-            )
+        if kind == "central" and (k_short or k_long):
+            raise DomainError(f"central firing takes no k, got k=({k_short},{k_long})")
+        return super().__new__(cls, kind, k_short, k_long)
+
+    @classmethod
+    def _make(cls, iterable) -> "FiringParams":
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
     @classmethod
     def make(cls, kind: str, k_short: int, k_long: int | None = None) -> "FiringParams":
@@ -521,19 +521,19 @@ def fiber(
 # -- explicit graphs ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiringGraph:
-    """Finite induced subgraph of a firing relation, deterministically ordered."""
+class FiringGraph(namedtuple("FiringGraph", "system params vertices edges")):
+    """Finite induced subgraph of a firing relation, deterministically ordered.
 
-    system: str
-    params: FiringParams
-    vertices: tuple[Weight, ...]  # sorted, so index order is weight order
-    edges: tuple[tuple[int, int, int], ...]  # (source idx, target idx, root idx)
+    ``vertices`` is sorted, so index order is weight order; each of
+    ``edges`` is a (source index, target index, root index) triple.
+    """
+
+    __slots__ = ()
 
     def to_json(self) -> str:
         obj = {
             "system": self.system,
-            "params": asdict(self.params),
+            "params": self.params._asdict(),
             "vertices": [list(v) for v in self.vertices],
             "edges": [{"s": s, "t": t, "root": r} for s, t, r in self.edges],
         }
@@ -617,14 +617,12 @@ def reachable_central_sinks(rs: RootSystem, weight: Weight) -> tuple[Weight, ...
 # -- Weyl and lattice symmetries of the graphs --------------------------------
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(
+    namedtuple("SymmetryReport", "num_vertices num_edges maps_checked violations")
+):
     """A ball's vertex and undirected edge counts, the maps applied, the edges broken."""
 
-    num_vertices: int
-    num_edges: int
-    maps_checked: int
-    violations: tuple[str, ...]
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from operator import add, sub
@@ -84,16 +84,14 @@ def scoped_cap(cap: int | None):
         _SCOPED_CAP.reset(token)
 
 
-@dataclass(frozen=True)
-class DiscretePermutohedron:
+class DiscretePermutohedron(namedtuple("DiscretePermutohedron", "center points")):
     """Lattice points of a Weyl-orbit hull within the center's coset.
 
     ``points`` is sorted.  Membership is the root-order test
     ``perm_contains(rs, center, mu)``, which needs no set of the points.
     """
 
-    center: Weight
-    points: tuple[Weight, ...]
+    __slots__ = ()
 
 
 # the root-order half of ``perm_contains``: the fits on A3, B3 and A4 of

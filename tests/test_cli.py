@@ -1,7 +1,6 @@
 """CLI surface: parsing, output determinism, exit codes."""
 
 import argparse
-import dataclasses
 import json
 import os
 import re
@@ -630,17 +629,17 @@ FAILING_CHECKS = {
     ),
     "symmetry": (
         fi, "graph_symmetry_check",
-        lambda real: lambda *a: dataclasses.replace(real(*a), violations=("stub",)),
+        lambda real: lambda *a: real(*a)._replace(violations=("stub",)),
         ["FAIL - A2 sym k=(0,0): 2 maps on 12 edges, 1 violations"],
     ),
     "decompose": (
         eh, "decomposition_check",
-        lambda real: lambda *a: dataclasses.replace(real(*a), sym_failures=((0, 0),)),
+        lambda real: lambda *a: real(*a)._replace(sym_failures=((0, 0),)),
         ["FAIL - A2 k=1 decomposition on 49 weights: 1 sym fails, 0 tr fails"],
     ),
     "iterate": (
         eh, "iterate_check",
-        lambda real: lambda *a: dataclasses.replace(real(*a), fitted=(0, 0)),
+        lambda real: lambda *a: real(*a)._replace(fitted=(0, 0)),
         ["FAIL - A2 iterate 0,0: counts [7, 19] vs fitted [0, 0]"],
     ),
     "tables": (
@@ -687,7 +686,7 @@ def test_conjectures_never_fail(capsys, monkeypatch):
     odd = eh.LatticePolynomial.from_dict(1, {(1,): Fraction(-1, 2)})
     monkeypatch.setattr(
         eh, "fit_ehrhart_like",
-        lambda *a: dataclasses.replace(real_fit(*a), polynomial=odd),
+        lambda *a: real_fit(*a)._replace(polynomial=odd),
     )
     monkeypatch.setattr(
         eh, "tr_symmetry_scan", lambda rs, labels, params: (((0, 0), 1, False),)
