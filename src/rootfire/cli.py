@@ -17,6 +17,7 @@ import json
 import math
 import re
 import sys
+from functools import cache
 from itertools import product
 
 from . import ehrhart as eh
@@ -509,6 +510,7 @@ def cmd_verify(args) -> int:
 # -- entry point --------------------------------------------------------------------
 
 
+@cache  # one tree per process, built at the first main call
 def build_parser() -> _Parser:
     p = _Parser(prog="rootfire", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

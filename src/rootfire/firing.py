@@ -341,35 +341,38 @@ def reachable_sinks(
     itself alone; any other weight reaches the union of what its
     successors reach, and their one tuple when they all share it.  One
     sink proves that every firing order from the start ends there, which
-    no sample of orders does.  The walk keeps the seeded kernel's checks:
-    the memo stops at the point cap; a successor still being walked is a
-    cycle, which terminating firing never has; and each walked weight's
-    longest firing sequence, 1 + the longest over its successors, is held
-    to its own step budget and overruns it as the kernel does.
+    no sample of orders does.  The memo is keyed by ``_radix_keys``, so a
+    walked successor builds nothing, a new one only its vector and a sink
+    its weight.  The walk keeps the seeded kernel's checks: the memo stops
+    at the point cap; a successor still being walked is a cycle, which
+    terminating firing never has; and each walked weight's longest firing
+    sequence, 1 + the longest over its successors, is held to its own step
+    budget (read only past the zero vector's, the least any weight gets)
+    and overruns it as the kernel does.
     """
     lo, hi = _bounds(rs, params)
-    gram, successors, weight_of = rs.pos_gram, kernel._successors, rs.weight_of
+    gram, weight_of = rs.pos_gram, rs.weight_of
     cap = point_cap()
-    # a vector's weight keys the memo: weights and packed entries measured
-    # less peak memory than whole vectors and tuples
-    memo: dict[Weight, int] = {}
+    starts = [tuple(start) for start in starts]
+    off, base, deltas = _radix_keys(starts, rs.pos_root_weights)
+    floor = _step_budget((0,) * len(gram), params)
+    memo: dict[int, int] = {}
     sets: list[tuple[Weight, ...]] = []
     index: dict[tuple[Weight, ...], int] = {}
     low = (1 << _SHIFT) - 1
 
     def frame(key, v):
-        """Stack entry of weight ``key``: its vector, successor weights, and those left."""
-        nexts = successors(v, gram, lo, hi)
-        keys = [*map(weight_of, nexts)]
-        return key, v, keys, zip(keys, nexts)
+        """Stack entry of the weight keyed ``key``: its vector, fireable roots, and those left."""
+        fire = [j for j, x in enumerate(v) if lo[j] <= x <= hi[j]]
+        return key, v, fire, iter(fire)
 
-    def finish(key, v, keys):
-        if not keys:
-            sets.append((key,))
+    def finish(key, v, fire):
+        if not fire:
+            sets.append((weight_of(v),))
             return len(sets) - 1
-        done = [memo[w] for w in keys]
+        done = [memo[key + deltas[j]] for j in fire]
         longest = (max(done) >> _SHIFT) + 1
-        if longest > (budget := _step_budget(v, params)):
+        if longest > floor and longest > (budget := _step_budget(v, params)):
             raise kernel._overrun(budget)
         ids = {x & low for x in done}
         idx = ids.pop()
@@ -380,22 +383,21 @@ def reachable_sinks(
                 sets.append(found)
         return (longest << _SHIFT) | idx
 
-    picked = []
-    for start in starts:
-        root = tuple(start)
+    roots = [_radix_key(start, base, off) for start in starts]
+    for start, root in zip(starts, roots):
         if root not in memo:
             memo[root] = _ON_STACK
-            stack = [frame(root, kernel.pairings(rs._coroot_chain, root))]
+            stack = [frame(root, kernel.pairings(rs._coroot_chain, start))]
             while stack:
-                key, v, keys, todo = stack[-1]
-                for w_key, w in todo:
-                    got = memo.get(w_key)
+                key, v, fire, todo = stack[-1]
+                for j in todo:
+                    got = memo.get(w_key := key + deltas[j])
                     if got is None:
                         memo[w_key] = _ON_STACK
                         if len(memo) > cap:
                             what = f"{params.short} firing from {start}"
                             require_within_cap(len(memo), what)
-                        stack.append(frame(w_key, w))
+                        stack.append(frame(w_key, [*map(add, v, gram[j])]))
                         break
                     if got == _ON_STACK:
                         raise InvariantViolationError(
@@ -403,9 +405,8 @@ def reachable_sinks(
                         )
                 else:
                     stack.pop()
-                    memo[key] = finish(key, v, keys)
-        picked.append(memo[root] & low)
-    return [sets[idx] for idx in picked]
+                    memo[key] = finish(key, v, fire)
+    return [sets[memo[root] & low] for root in roots]
 
 
 # -- connected components and fibers ----------------------------------------
@@ -423,17 +424,10 @@ def component(rs: RootSystem, weight: Weight, params: FiringParams) -> tuple[Wei
     neighbor's vector is the current one plus or minus a row of
     ``rs.pos_gram``.
 
-    The seen set holds one integer per weight: the key of ``v`` is
-    sum((v_i + off) * base**(n - 1 - i)), with base = 2 * off + 1, the
-    digits of ``v + off`` in radix ``base``.  Here off = max|weight_i| +
-    cap * c, and c is the largest |coordinate| of a root in weight
-    coordinates.  The search stops once it holds more than ``cap``
-    weights, so each weight it keys is at most ``cap`` edges from
-    ``weight``: its coordinates lie within ``off`` of 0, every digit in
-    [0, base), and distinct weights get distinct keys.  A neighbor's key
-    is the current key plus the key step of its root, so an edge back to
-    a seen weight builds nothing; a weight and its pairings are built
-    only when it is new.
+    The seen set holds one integer per weight (``_radix_keys``).  A
+    neighbor's key is the current key plus the key step of its root, so
+    an edge back to a seen weight builds nothing; a weight and its
+    pairings are built only when it is new.
     """
     cap = point_cap()
     lo, hi = _bounds(rs, params)
@@ -447,9 +441,7 @@ def component(rs: RootSystem, weight: Weight, params: FiringParams) -> tuple[Wei
     los = lo + tuple(x + 2 for x in lo)
     his = hi + tuple(x + 2 for x in hi)
     start = tuple(weight)
-    off = max(map(abs, start)) + cap * max(abs(x) for r in roots for x in r)
-    base = 2 * off + 1
-    deltas = [_radix_key(step, base, 0) for step in steps]
+    off, base, deltas = _radix_keys([start], steps)
     key = _radix_key(start, base, off)
     seen = {key}
     members = [start]
@@ -468,8 +460,24 @@ def component(rs: RootSystem, weight: Weight, params: FiringParams) -> tuple[Wei
     return tuple(sorted(members))
 
 
+def _radix_keys(starts: list[Weight], steps) -> tuple[int, int, list[int]]:
+    """(off, base, the key of each step) for a search from ``starts``.
+
+    A weight's key holds the digits of ``v + off`` in radix base =
+    2 * off + 1 (``_radix_key``), so a step adds its own key.  With off =
+    max|start_i| + cap * c, c the largest |coordinate| of a step, a search
+    that stops past ``cap`` weights keys none more than ``cap`` steps from
+    a start: its digits lie in [0, base), so distinct weights get distinct
+    keys, which sort as the weights do.
+    """
+    off = max((abs(x) for s in starts for x in s), default=0)
+    off += point_cap() * max(abs(x) for s in steps for x in s)
+    base = 2 * off + 1
+    return off, base, [_radix_key(step, base, 0) for step in steps]
+
+
 def _radix_key(v, base: int, off: int) -> int:
-    """sum((v_i + off) * base**(n - 1 - i)): ``component``'s key of a weight."""
+    """sum((v_i + off) * base**(n - 1 - i)): the key of a weight (``_radix_keys``)."""
     key = 0
     for x in v:
         key = key * base + x + off

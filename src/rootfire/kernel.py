@@ -16,7 +16,7 @@ order can also stop early, after a caller's ``limit`` of firings.
 ``verify confluence`` fires seeded orders, one ``stabilize`` call per
 seed, only from weights that can reach two sinks: it first certifies
 every order at once by a memoized walk of the forward closure
-(``firing.reachable_sinks``), which reads ``_successors``.
+(``firing.reachable_sinks``).
 
 Seeds are integers in [0, 2**64); any other seed is refused, never
 reduced.  Each order draws live from its seed's splitmix64 stream,
@@ -113,11 +113,3 @@ def stabilize(pair, gram, lo, hi, budget, seed=None, limit=None):
     if steps > budget:
         raise _overrun(budget)
     return tuple(p), steps
-
-
-def _successors(p, gram, lo, hi):
-    """The vectors one firing from ``p``, one per fireable root, in root order."""
-    # a tuple built from a list: tuple(map(...)) leaves more memory held
-    return [
-        tuple([*map(add, p, gram[j])]) for j, x in enumerate(p) if lo[j] <= x <= hi[j]
-    ]

@@ -69,6 +69,26 @@ def test_every_command_parser_carries_its_run():
     assert runs == expected
 
 
+def test_one_parser_serves_every_call_of_a_process(capsys):
+    # main builds the argparse tree once; no call, a usage error included,
+    # leaves it changed for the next
+    calls = [
+        ("verify", "confluence", "A2", "--k", "0", "--trials", "2"),
+        ("verify", "confluence", "A2", "--trials", "1"),
+        ("verify", "confluence", "A2", "--bogus"),
+        ("stabilize", "A2", "sym", "1", "-3,1", "--seed", "3"),
+        ("verify", "confluence", "A2", "--k", "0", "--trials", "2"),
+    ]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert [code for code, _, _ in fresh] == [0, 1, 1, 0, 0]
+    cli.build_parser.cache_clear()
+    assert [run(capsys, *argv) for argv in calls] == fresh
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_usage_errors_exit_1(capsys):
     assert run(capsys, "info", "Z9")[0] == 1
     assert run(capsys, "stabilize", "A2", "weird", "1", "0,0")[0] == 1

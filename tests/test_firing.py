@@ -692,13 +692,77 @@ def test_the_walk_holds_every_order_to_the_step_budget(monkeypatch):
 
 
 def test_a_successor_on_the_walk_is_a_cycle(monkeypatch):
-    from rootfire import kernel
-
-    real = kernel._successors
-    # every vector also fires back to itself
-    monkeypatch.setattr(kernel, "_successors", lambda p, *args: [*real(p, *args), p])
+    a2 = from_spec("A2")
+    # a zero first root: (0, 0), where every root is fireable, fires to itself
+    zero = (0,) * len(a2.pos_gram)
+    monkeypatch.setattr(a2, "pos_root_weights", ((0, 0), *a2.pos_root_weights[1:]))
+    monkeypatch.setattr(a2, "pos_gram", (zero, *a2.pos_gram[1:]))
     with pytest.raises(errors.InvariantViolationError, match=r"\(0, 0\) runs in a cycle"):
-        reachable_sinks(from_spec("A2"), SYM1, [(0, 0)])
+        reachable_sinks(a2, SYM1, [(0, 0)])
+
+
+def _forward_sinks(rs, start, params):
+    """(sorted sinks, size) of the forward closure of ``start``: a set of
+    weights, each fired from its own coordinates by ``fireable_roots``."""
+    seen, todo, sinks = {start}, [start], set()
+    while todo:
+        w = todo.pop()
+        fire = fireable_roots(rs, w, params)
+        if not fire:
+            sinks.add(w)
+        for j in fire:
+            u = tuple(map(add, w, rs.pos_root_weights[j]))
+            if u not in seen:
+                seen.add(u)
+                todo.append(u)
+    return tuple(sorted(sinks)), len(seen)
+
+
+def _walk_rows(rs):
+    """sym and tr at k <= 1, and on two root lengths the non-good sym (0, 1)."""
+    rows = [FiringParams.make(kind, k) for k in (0, 1) for kind in ("sym", "tr")]
+    return rows + ([] if rs.simply_laced else [FiringParams.make("sym", 0, 1)])
+
+
+# starts far from 0 on both sides: max|start_i| sets the walk's key offset
+_WALK_FAR = [*product(range(-41, -38), range(24, 27)), *product(range(39, 42), range(-41, -38))]
+
+
+@pytest.mark.parametrize("spec, central_split", [("A2", 1), ("B2", 0), ("G2", 1)])
+def test_the_walk_matches_a_forward_closure(spec, central_split):
+    # the memoized walk on radix keys and incremental vectors against a
+    # closure that keeps every weight and every sink in a set; only central
+    # firing reaches several sinks (from 0 on A2 and G2), while the non-good
+    # sym (0, 1) reaches one from each weight here, as on the boxes of
+    # verify confluence
+    rs = from_spec(spec)
+    rows = [(params, coord_box(rs, 4) + _WALK_FAR) for params in _walk_rows(rs)]
+    rows.append((FiringParams(kind="central"), coord_box(rs, 2)))
+    for params, starts in rows:
+        found = reachable_sinks(rs, params, starts)
+        assert found == [_forward_sinks(rs, w, params)[0] for w in starts], params
+        split = central_split if params.kind == "central" else 0
+        assert sum(len(sinks) > 1 for sinks in found) == split, params
+
+
+def test_the_walk_holds_at_the_exact_cap():
+    # scoped_cap(n) gives the least key offset that holds a closure of n
+    # weights; G2's root steps reach 3 in weight coordinates
+    g2 = from_spec("G2")
+    sizes = set()
+    for params in _walk_rows(g2):
+        for start in [(0, 0), (-3, 2), *_WALK_FAR]:
+            sinks, size = _forward_sinks(g2, start, params)
+            sizes.add(size)
+            if size == 1:  # a cap below 1 is refused on its own
+                continue
+            with scoped_cap(size):
+                assert reachable_sinks(g2, params, [start]) == [sinks], (params, start)
+            with scoped_cap(size - 1), pytest.raises(errors.ResourceCapError) as exc:
+                reachable_sinks(g2, params, [start])
+            what = f"{params.short} firing from {start}"
+            assert str(exc.value) == f"{what} exceeds the cap of {size - 1} points"
+    assert max(sizes) > 10
 
 
 def test_a_doctored_bound_fails_the_certificate(monkeypatch, capsys):
