@@ -28,7 +28,7 @@ from .firing import (
     eta_inverse,
     fiber,
     fireable_roots,
-    graph_symmetry_check,
+    graph_symmetry_breaks,
     is_sink,
     labels_a_sink,
     neighbors,

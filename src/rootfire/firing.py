@@ -19,10 +19,9 @@ from __future__ import annotations
 import json
 from collections import deque, namedtuple
 from collections.abc import Iterable
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product
-from math import isqrt, prod
-from operator import add, sub
+from operator import add, mul, sub
 
 from . import kernel
 from .errors import (
@@ -39,7 +38,6 @@ from .rootsys import (
     apply_word,
     dominant,
     dominant_rep,
-    reflect_simple,
     subgroup_C,
 )
 
@@ -144,6 +142,61 @@ def _bounds(rs: RootSystem, params: FiringParams) -> tuple[tuple[int, ...], tupl
             lo.append(-k - 1 if params.kind == "symmetric" else -k)
             hi.append(k - 1)
     return tuple(lo), tuple(hi)
+
+
+def graph_symmetry_breaks(
+    rs: RootSystem, params: FiringParams
+) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """The (map, root) pairs at which a graph symmetry breaks; none proves them all.
+
+    The maps are g(v) = w(v) + omega: the simple reflections (omega = 0),
+    which generate W, for symmetric firing, and each (omega, w) of
+    ``subgroup_C``, which fixes rho/h, for truncated firing.  For beta in
+    Phi, the undirected edge {x, x + beta} is present exactly when
+    <x, beta^vee> lies in I(beta): [lo, hi] from ``_bounds`` for a positive
+    root, and [-hi - 2, -lo - 2] for its negative.  g sends that edge to
+    {g(x), g(x) + w(beta)}, present exactly when <x, beta^vee> lies in
+    I(w(beta)) - <omega, w(beta)^vee>.  The pairing takes every integer, so
+    g carries the graph onto itself, at every weight, exactly when that
+    interval is I(beta) for every beta; empty intervals are equal.  A
+    broken root is given in simple-root coordinates.
+    """
+    if params.kind == "symmetric":
+        maps = [(f"s{i}", rs.zero(), (i,)) for i in range(1, rs.rank + 1)]
+    elif params.kind == "truncated":
+        maps = [(f"C[{i}]", omega, word) for i, (omega, word) in enumerate(subgroup_C(rs))]
+    else:
+        raise PreconditionError("symmetry check applies to symmetric/truncated kinds")
+    lo, hi = _bounds(rs, params)
+    # each beta in Phi, keyed by its weight: (root, coroot row, I(beta), () if empty)
+    phi = {}
+    for r, w, c, a, b in zip(rs.pos_roots, rs.pos_root_weights, rs.pos_coroots, lo, hi):
+        for sign, interval in ((1, (a, b)), (-1, (-b - 2, -a - 2))):
+            phi[tuple(sign * x for x in w)] = (
+                tuple(sign * x for x in r),
+                tuple(sign * x for x in c),
+                interval if a <= b else (),
+            )
+    breaks = []
+    for name, omega, word in maps:
+        for w, (root, _, interval) in phi.items():
+            _, coroot, image = phi[apply_word(rs, word, w)]
+            shift = sum(map(mul, coroot, omega))
+            if tuple(x - shift for x in image) != interval:
+                breaks.append((name, root))
+    return tuple(breaks)
+
+
+def quotient_affine_image(
+    rs: RootSystem, element: tuple[Weight, WeylWord], weight: Weight
+) -> Weight:
+    """Apply the affine symmetry v -> w(v - rho/h) + rho/h of truncated firing.
+
+    ``element`` is an (omega, w) pair of ``subgroup_C``, whose w(rho) is
+    rho - h*omega, so the map is w(v) + omega.
+    """
+    omega, word = element
+    return tuple(map(add, apply_word(rs, word, weight), omega))
 
 
 def fireable_roots(rs: RootSystem, weight: Weight, params: FiringParams) -> list[int]:
@@ -620,99 +673,3 @@ def reachable_central_sinks(rs: RootSystem, weight: Weight) -> tuple[Weight, ...
     """
     [sinks] = reachable_sinks(rs, FiringParams(kind="central"), [weight])
     return sinks
-
-
-# -- Weyl and lattice symmetries of the graphs --------------------------------
-
-
-class SymmetryReport(
-    namedtuple("SymmetryReport", "num_vertices num_edges maps_checked violations")
-):
-    """A ball's vertex and undirected edge counts, the maps applied, the edges broken."""
-
-    __slots__ = ()
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def ball_region(
-    rs: RootSystem, radius_sq: int, c: Weight | None = None, s: int = 1
-) -> list[Weight]:
-    """Weights within a squared distance of the center c/s.
-
-    ``c`` is an integer weight, zero by default, and ``s`` a positive
-    integer: the symmetric checks center at 0, the truncated ones at rho/h,
-    given as (``rs.rho()``, ``rs.coxeter_number``).  Metric balls are
-    exactly invariant under the relevant symmetries, unlike coordinate
-    boxes.  The test is ``quad_norm(s*v - c) <= f * s^2 * radius_sq`` in
-    integers, over the box |s*v_i - c_i| <= isqrt(2 * radius_sq * s^2 / d_i)
-    (Cauchy-Schwarz, as v_i = <v, alpha_i^vee> and |alpha_i^vee|^2 = 2/d_i),
-    whose size is checked against the point cap before any point is built.
-    """
-    c = c or rs.zero()
-    limit = rs.index_of_connection * s * s * radius_sq
-    spans = [isqrt(2 * radius_sq * s * s // d) for d in rs.symmetrizer]
-    axes = [range(-((b - ci) // s), (ci + b) // s + 1) for b, ci in zip(spans, c)]
-    size = prod(map(len, axes))
-    require_within_cap(size, f"box of {size} points")
-    return [
-        v
-        for v in product(*axes)
-        if rs.quad_norm([s * a - b for a, b in zip(v, c)]) <= limit
-    ]
-
-
-def quotient_affine_image(
-    rs: RootSystem, element: tuple[Weight, WeylWord], weight: Weight
-) -> Weight:
-    """Apply the affine symmetry v -> w(v - rho/h) + rho/h of truncated firing.
-
-    ``element`` is an (omega, w) pair of ``subgroup_C``, whose w(rho) is
-    rho - h*omega, so the map is w(v) + omega.
-    """
-    omega, word = element
-    return tuple(map(add, apply_word(rs, word, weight), omega))
-
-
-def graph_symmetry_check(
-    rs: RootSystem, params: FiringParams, radius: int
-) -> SymmetryReport:
-    """Verify the graph symmetries on an invariant metric ball.
-
-    Symmetric kind: every simple reflection maps undirected edges to
-    undirected edges (generators suffice for the full Weyl group).
-    Truncated kind: every (omega, w) of the lattice-quotient subgroup acts
-    by the affine map v -> w(v) + omega, which fixes rho/h.
-    """
-    r2 = radius * radius * max(rs.symmetrizer)
-    if params.kind == "symmetric":
-        region = ball_region(rs, r2)
-        maps = [(f"s{i}", partial(reflect_simple, rs, i)) for i in range(1, rs.rank + 1)]
-    elif params.kind == "truncated":
-        region = ball_region(rs, r2, rs.rho(), rs.coxeter_number)
-        maps = [
-            (f"C[{i}]", partial(quotient_affine_image, rs, element))
-            for i, element in enumerate(subgroup_C(rs))
-        ]
-    else:
-        raise PreconditionError("symmetry check applies to symmetric/truncated kinds")
-
-    graph = build_graph(rs, region, params)
-    vertices = graph.vertices
-    edges = sorted((vertices[min(i, j)], vertices[max(i, j)]) for i, j, _ in graph.edges)
-    present = set(edges)
-    violations: list[str] = []
-    for name, image in maps:
-        moved = {v: image(v) for v in vertices}
-        for v, w in edges:
-            iv, iw = moved[v], moved[w]
-            if (min(iv, iw), max(iv, iw)) not in present:
-                violations.append(f"{name} breaks edge {v} -- {w}")
-    return SymmetryReport(
-        num_vertices=len(vertices),
-        num_edges=len(edges),
-        maps_checked=len(maps),
-        violations=tuple(violations),
-    )

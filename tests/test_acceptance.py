@@ -22,7 +22,7 @@ from rootfire.firing import (
     eta,
     eta_inverse,
     fiber,
-    graph_symmetry_check,
+    graph_symmetry_breaks,
     is_sink,
     labels_a_sink,
     neighbors,
@@ -31,7 +31,7 @@ from rootfire.firing import (
     stabilize,
 )
 from rootfire.polytope import enumerate_perm, traverse_bruteforce, traverse_formula
-from rootfire.rootsys import from_spec, minuscule_weights
+from rootfire.rootsys import from_spec, minuscule_weights, subgroup_C
 
 RANK2 = ("A2", "B2", "G2")
 
@@ -214,15 +214,16 @@ def test_criterion_09_decomposition_and_iteration():
 
 
 def test_criterion_10_symmetry():
+    # the certificate covers every weight, so each certified map is a graph symmetry
     maps = 0
     for spec in RANK2:
         rs = from_spec(spec)
         for k in (0, 1, 2):
             for kind in ("sym", "tr"):
-                rep = graph_symmetry_check(rs, FiringParams.make(kind, k, k), 2 * k + 2)
-                assert rep.passed, (spec, kind, k, rep.violations[:3])
-                maps += rep.maps_checked
-    _announce(10, f"{maps} symmetry maps verified with zero violated edges")
+                breaks = graph_symmetry_breaks(rs, FiringParams.make(kind, k, k))
+                assert breaks == (), (spec, kind, k, breaks[:3])
+                maps += rs.rank if kind == "sym" else len(subgroup_C(rs))
+    _announce(10, f"{maps} symmetry maps certified on every weight")
 
 
 def test_criterion_11_fit_consistency():

@@ -296,11 +296,9 @@ def test_graph_cap_exit_3(capsys, monkeypatch):
         capsys, "verify", "decompose", "A2", "--box", "9", "--max-points", "10"
     )
     assert code == 3 and "box of 361 points" in err
-    # and the box around the metric balls of the symmetry suite
-    code, _, err = run(
-        capsys, "verify", "symmetry", "A2", "--k", "1", "--max-points", "10"
-    )
-    assert code == 3 and "box of 25 points" in err
+    # the symmetry suite reads the roots alone, so no cap refuses it
+    code, _, _ = run(capsys, "verify", "symmetry", "A2", "--k", "1", "--max-points", "10")
+    assert code == 0
 
 
 def test_traverse_grid_cap_exit_3(capsys, monkeypatch):
@@ -526,10 +524,10 @@ A2_OUTPUT = {
         "suite nonescape on A2: PASS\n"
     ),
     "symmetry": (
-        "ok - A2 sym k=(0,0): 2 maps on 12 edges, 0 violations\n"
-        "note - A2 tr k=(0,0): 3 maps on 0 edges, 0 violations\n"
-        "ok - A2 sym k=(1,1): 2 maps on 84 edges, 0 violations\n"
-        "ok - A2 tr k=(1,1): 3 maps on 57 edges, 0 violations\n"
+        "ok - A2 sym k=(0,0): 6 of 6 roots carry edges, 0 breaks at any weight\n"
+        "note - A2 tr k=(0,0): 0 of 6 roots carry edges, 0 breaks at any weight\n"
+        "ok - A2 sym k=(1,1): 6 of 6 roots carry edges, 0 breaks at any weight\n"
+        "ok - A2 tr k=(1,1): 6 of 6 roots carry edges, 0 breaks at any weight\n"
         "suite symmetry on A2: PASS\n"
     ),
     "decompose": (
@@ -648,9 +646,9 @@ FAILING_CHECKS = {
         ],
     ),
     "symmetry": (
-        fi, "graph_symmetry_check",
-        lambda real: lambda *a: real(*a)._replace(violations=("stub",)),
-        ["FAIL - A2 sym k=(0,0): 2 maps on 12 edges, 1 violations"],
+        fi, "graph_symmetry_breaks",
+        lambda real: lambda *a: real(*a) + (("s1", (1, 0)),),
+        ["FAIL - A2 sym k=(0,0): 6 of 6 roots carry edges, 1 breaks at any weight"],
     ),
     "decompose": (
         eh, "decomposition_check",

@@ -2,8 +2,8 @@
 
 import json
 from fractions import Fraction
+from functools import cache, partial
 from itertools import product
-from math import isqrt
 from operator import add, mul, sub
 
 import pytest
@@ -15,7 +15,6 @@ from rootfire.ehrhart import decomposition_check, fit_ehrhart_like, full_dim_lab
 from rootfire.firing import (
     FiringParams,
     _bounds,
-    ball_region,
     bounding_center,
     build_graph,
     check_confluence_random,
@@ -25,7 +24,7 @@ from rootfire.firing import (
     eta_inverse,
     fiber,
     fireable_roots,
-    graph_symmetry_check,
+    graph_symmetry_breaks,
     is_sink,
     labels_a_sink,
     neighbors,
@@ -38,7 +37,14 @@ from rootfire.firing import (
     stabilize_trace,
 )
 from rootfire.polytope import enumerate_perm, perm_contains, scoped_cap
-from rootfire.rootsys import apply_word, dominant_rep, from_spec, subgroup_C, weyl_orbit
+from rootfire.rootsys import (
+    apply_word,
+    dominant_rep,
+    from_spec,
+    reflect_simple,
+    subgroup_C,
+    weyl_orbit,
+)
 from test_rootsys import CLASSIFICATION
 
 SYM0 = FiringParams.make("sym", 0)
@@ -738,6 +744,10 @@ def test_the_walk_matches_a_forward_closure(spec, central_split):
     rs = from_spec(spec)
     rows = [(params, coord_box(rs, 4) + _WALK_FAR) for params in _walk_rows(rs)]
     rows.append((FiringParams(kind="central"), coord_box(rs, 2)))
+    if spec == "B2":
+        # walks many steps from near 0: a key offset without its cap term
+        # (max|start_i| + 2c) lets two weights share a key and gives wrong sinks
+        rows += [(FiringParams.make(kind, 4), coord_box(rs, 1)) for kind in ("sym", "tr")]
     for params, starts in rows:
         found = reachable_sinks(rs, params, starts)
         assert found == [_forward_sinks(rs, w, params)[0] for w in starts], params
@@ -876,8 +886,6 @@ def test_component_escape_detection_on_non_good():
 
 
 def _parabolic_orbit(rs, weight, nodes):
-    from rootfire.rootsys import reflect_simple
-
     seen = {tuple(weight)}
     queue = [tuple(weight)]
     while queue:
@@ -970,75 +978,72 @@ def test_graph_determinism():
     assert g1.to_dot(a2) == g2.to_dot(a2)
 
 
-def _fraction_ball(rs, radius_sq, center, bound):
-    """The ball by its rational squared length |v - center|^2, over a given box."""
-    out = []
-    for v in coord_box(rs, bound):
-        y = tuple(Fraction(a) - b for a, b in zip(v, center))
-        r = rs.root_coords(y)
-        total = sum(rs.symmetrizer[j] * r[j] * y[j] for j in range(rs.rank))
-        if Fraction(total, rs.index_of_connection) <= radius_sq:
-            out.append(v)
+def _undirected(rs, v, params):
+    """The undirected neighbours of ``v``: its out-neighbours, and each
+    ``v - alpha`` whose out-neighbours reach ``v``."""
+    out = {w for w, _ in neighbors(rs, v, params)}
+    for step in rs.pos_root_weights:
+        u = tuple(map(sub, v, step))
+        if any(w == v for w, _ in neighbors(rs, u, params)):
+            out.add(u)
     return out
 
 
-# B3's long nodes have d = 2; D4 is rank 4
-@pytest.mark.parametrize(
-    "spec,k_max", [("A2", 2), ("B2", 2), ("G2", 2), ("A3", 1), ("B3", 1), ("D4", 0)]
-)
-def test_integer_ball_matches_the_rational_formula(spec, k_max):
-    rs = from_spec(spec)
-    # the centers c/s of the symmetric and truncated checks: 0 and rho/h
-    centers = [(rs.zero(), 1), (rs.rho(), rs.coxeter_number)]
-    for k in range(k_max + 1):
-        r2 = (2 * k + 2) ** 2 * max(rs.symmetrizer)
-        for c, s in centers:
-            center = [Fraction(x, s) for x in c]
-            # a box wider than the one scanned, so its bound is checked too
-            want = _fraction_ball(rs, r2, center, isqrt(4 * r2 + 4) + 2)
-            assert ball_region(rs, r2, c, s) == want, (k, c, s)
+def _edge_oracle(rs, params, maps, bound):
+    """The (map, weight) pairs of ``coord_box(rs, bound)`` where a map g does
+    not carry the undirected neighbours of v onto those of g(v)."""
+    around = cache(lambda v: _undirected(rs, v, params))
+    return [
+        (name, v)
+        for name, g in maps
+        for v in coord_box(rs, bound)
+        if {g(w) for w in around(v)} != around(g(v))
+    ]
 
 
-# (vertices, edges) on the ball of radius 2k + 2 for k = 0, 1, 2, each sym then tr
-SYMMETRY_SIZES = {
-    "A2": [(19, 12), (21, 0), (85, 84), (84, 57), (199, 216), (192, 168)],
-    "B2": [(25, 18), (28, 0), (101, 110), (102, 76), (225, 278), (222, 224)],
-    "G2": [(19, 18), (22, 0), (85, 132), (87, 91), (199, 342), (194, 271)],
-    "A3": [(65, 84), (68, 0), (537, 1176), (524, 772), (1837, 4476), (1800, 3604)],
-    "B3": [(65, 120), (66, 0), (537, 1602), (534, 1080), (1837, 6138), (1810, 4926)],
-    # k <= 1 only; D4's C is Z/2 x Z/2, the one C that is not cyclic
-    "D4": [(169, 456), (148, 0), (2593, 12144), (2464, 7956)],
-}
+def _weyl_maps(rs):
+    return [(f"s{i}", partial(reflect_simple, rs, i)) for i in range(1, rs.rank + 1)]
 
 
-@pytest.mark.parametrize("spec", ["A2", "B2", "G2", "A3", "B3", "D4"])
+def _quotient_maps(rs):
+    return [(f"C[{i}]", partial(quotient_affine_image, rs, e)) for i, e in enumerate(subgroup_C(rs))]
+
+
+# the largest k of each system's grid; D4's C is Z/2 x Z/2, the one C that is not cyclic
+SYMMETRY_K_MAX = {"A2": 2, "B2": 2, "G2": 2, "A3": 1, "B3": 1, "D4": 1}
+
+
+@pytest.mark.parametrize("spec", sorted(SYMMETRY_K_MAX))
 def test_graph_symmetries(spec):
+    # the certificate on the root data against a local edge oracle on a box:
+    # W's generators for symmetric firing, C's affine maps for truncated
     rs = from_spec(spec)
-    sizes = []
-    for k in range(len(SYMMETRY_SIZES[spec]) // 2):
-        for kind in ("sym", "tr"):
-            rep = graph_symmetry_check(rs, FiringParams.make(kind, k, k), 2 * k + 2)
-            assert rep.passed, rep.violations[:3]
-            sizes.append((rep.num_vertices, rep.num_edges))
-    assert sizes == SYMMETRY_SIZES[spec]
+    for k in range(SYMMETRY_K_MAX[spec] + 1):
+        for kind, maps in (("sym", _weyl_maps(rs)), ("tr", _quotient_maps(rs))):
+            params = FiringParams.make(kind, k)
+            assert graph_symmetry_breaks(rs, params) == (), params
+            assert _edge_oracle(rs, params, maps, k + 2) == [], params
 
 
 def test_symmetry_check_fails_on_maps_that_are_not_symmetries(monkeypatch):
-    a2 = from_spec("A2")
-    assert graph_symmetry_check(a2, SYM1, 4).violations == ()
-    assert graph_symmetry_check(a2, TR1, 4).violations == ()
+    real = firing.subgroup_C
     with pytest.raises(errors.PreconditionError, match="symmetric/truncated"):
-        graph_symmetry_check(a2, FiringParams(kind="central"), 4)
-    # a translation by the first fundamental weight in place of each s_i
-    monkeypatch.setattr(
-        firing, "reflect_simple", lambda rs, i, v: tuple(map(add, v, rs.fundamental_weight(1)))
-    )
-    assert len(graph_symmetry_check(a2, SYM1, 4).violations) == 46
-    # w alone, without the omega that makes w(v) + omega fix rho/h
-    monkeypatch.setattr(
-        firing, "quotient_affine_image", lambda rs, element, v: apply_word(rs, element[1], v)
-    )
-    assert len(graph_symmetry_check(a2, TR1, 4).violations) == 44
+        graph_symmetry_breaks(from_spec("A2"), FiringParams(kind="central"))
+    # (map, root) pairs broken under truncated k = 1: by the simple reflections,
+    # which do not fix rho/h, and by each w of C without its omega
+    for spec, by_w, by_c in [("A2", 4, 8), ("D4", 8, 36)]:
+        rs = from_spec(spec)
+        simple = tuple((rs.zero(), (i,)) for i in range(1, rs.rank + 1))
+        monkeypatch.setattr(firing, "subgroup_C", lambda rs: simple)
+        assert len(graph_symmetry_breaks(rs, TR1)) == by_w, spec
+        assert _edge_oracle(rs, TR1, _weyl_maps(rs), 3), spec
+        # truncated k = 0 has no edge, so any map carries it: empty intervals are equal
+        assert graph_symmetry_breaks(rs, FiringParams.make("tr", 0)) == (), spec
+        linear = tuple((rs.zero(), w) for _, w in real(rs))
+        monkeypatch.setattr(firing, "subgroup_C", lambda rs: linear)
+        assert len(graph_symmetry_breaks(rs, TR1)) == by_c, spec
+        maps = [(f"w{i}", partial(apply_word, rs, w)) for i, (_, w) in enumerate(linear)]
+        assert _edge_oracle(rs, TR1, maps, 3), spec
 
 
 @pytest.mark.parametrize("spec", ["A2", "A3", "D4", "E6"])

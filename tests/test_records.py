@@ -25,7 +25,6 @@ def records():
     return {
         "FiringParams": sym1,
         "FiringGraph": fi.build_graph(rs, fi.coord_box(rs, 1), sym1),
-        "SymmetryReport": fi.graph_symmetry_check(rs, sym1, 1),
         "DiscretePermutohedron": pt.enumerate_perm(rs, (1, 1)),
         "LatticePolynomial": fit.polynomial,
         "FitReport": fit,
@@ -37,7 +36,7 @@ def records():
 @pytest.mark.parametrize(
     "name",
     [
-        "FiringParams", "FiringGraph", "SymmetryReport", "DiscretePermutohedron",
+        "FiringParams", "FiringGraph", "DiscretePermutohedron",
         "LatticePolynomial", "FitReport", "DecompositionReport", "IterateReport",
     ],
 )
