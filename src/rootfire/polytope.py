@@ -87,8 +87,10 @@ def scoped_cap(cap: int | None):
 class DiscretePermutohedron(namedtuple("DiscretePermutohedron", "center points")):
     """Lattice points of a Weyl-orbit hull within the center's coset.
 
-    ``points`` is sorted.  Membership is the root-order test
-    ``perm_contains(rs, center, mu)``, which needs no set of the points.
+    ``points`` is sorted, and built afresh by each ``enumerate_perm``
+    call from the walk-order points that its LRU holds.  Membership is
+    the root-order test ``perm_contains(rs, center, mu)``, which needs no
+    set of the points.
     """
 
     __slots__ = ()
@@ -136,11 +138,13 @@ def enumerate_perm(rs: RootSystem, lam_dom: Weight) -> DiscretePermutohedron:
     cap, and a kept orbit also adds at most one point past that room, so
     an overrun raises at the same point as without the memo.  The memo keeps at
     most the point cap in points and never evicts; once full, orbits are
-    walked live.  The last few results are also cached per (system,
-    center, cap).
+    walked live.  The last few walks are also cached per (system,
+    center, cap) by ``_enumerate_perm_cached``, in walk order; each call
+    here sorts the cached points afresh.
     """
     require_dominant(lam_dom)
-    return _enumerate_perm_cached(rs, tuple(lam_dom), point_cap())
+    _, points = _enumerate_perm_cached(rs, tuple(lam_dom), point_cap())
+    return DiscretePermutohedron(center=tuple(lam_dom), points=tuple(sorted(points)))
 
 
 def _dominant_slice(rs: RootSystem, lam_dom: Weight):
@@ -187,16 +191,24 @@ def _orbit_within(rs: RootSystem, nu: Weight, room: int, cap: int):
 @lru_cache(maxsize=8)
 def _enumerate_perm_cached(
     rs: RootSystem, lam_dom: Weight, cap: int
-) -> DiscretePermutohedron:
+) -> tuple[tuple[Weight, ...], tuple[Weight, ...]]:
+    """The dominant slice of ``lam_dom`` and the permutohedron's points.
+
+    One walk of ``_dominant_slice`` gives both, in walk order and
+    unsorted: each slice point, then its Weyl orbit appended to the
+    points.  ``lam_dom`` must be a dominant tuple; the callers check it
+    first.  Passing ``cap`` points raises ``ResourceCapError``.
+    """
+    dominants: list[Weight] = []
     points: list[Weight] = []
     for nu in _dominant_slice(rs, lam_dom):
+        dominants.append(nu)
         # orbits of distinct dominant weights are disjoint, so taking one
         # point past the room left is enough to pass the cap
         points += _orbit_within(rs, nu, cap + 1 - len(points), cap)
         if len(points) > cap:
             require_within_cap(len(points), f"permutohedron of {lam_dom}")
-    points.sort()
-    return DiscretePermutohedron(center=tuple(lam_dom), points=tuple(points))
+    return tuple(dominants), tuple(points)
 
 
 def traverse_bruteforce(rs: RootSystem, lam_dom: Weight) -> tuple[int, ...]:
@@ -216,10 +228,15 @@ def traverse_bruteforce(rs: RootSystem, lam_dom: Weight) -> tuple[int, ...]:
     length along α is therefore the least ±⟨ν, β^∨⟩ over the slice
     points ν and the positive roots β of α's length with ν ± β outside
     P, and it depends on α's length alone.
+
+    One cached walk (``_enumerate_perm_cached``) gives both the slice
+    and the points of P, which serve only as an unsorted membership set.
     """
-    members = set(enumerate_perm(rs, lam_dom).points)
+    require_dominant(lam_dom)
+    dominants, points = _enumerate_perm_cached(rs, tuple(lam_dom), point_cap())
+    members = set(points)
     least: dict[int, int] = {}
-    for nu in _dominant_slice(rs, tuple(lam_dom)):
+    for nu in dominants:
         pair = kernel.pairings(rs._coroot_chain, nu)
         for step, up, d in zip(rs.pos_root_weights, pair, rs.root_d):
             # a top can only lower the least pairing, so test it only then

@@ -10,7 +10,6 @@ import pytest
 from rootfire import errors, polytope
 from rootfire.firing import FiringParams, fiber
 from rootfire.polytope import (
-    DiscretePermutohedron,
     enumerate_perm,
     is_funny,
     perm_contains,
@@ -333,8 +332,8 @@ def test_traverse_bruteforce_rejects_a_negative_string_top(monkeypatch):
     # and not return a length
     a2 = from_spec("A2")
     points = tuple(p for p in enumerate_perm(a2, (1, 1)).points if p != (-1, 2))
-    fake = DiscretePermutohedron(center=(1, 1), points=points)
-    monkeypatch.setattr(polytope, "enumerate_perm", lambda rs, lam: fake)
+    fake = (tuple(polytope._dominant_slice(a2, (1, 1))), points)
+    monkeypatch.setattr(polytope, "_enumerate_perm_cached", lambda rs, lam, cap: fake)
     with pytest.raises(
         errors.InvariantViolationError,
         match="string boundary pairing cannot be negative",
@@ -397,6 +396,42 @@ def _tuple_scan(rs, points):
     )
 
 
+@pytest.mark.parametrize("spec", list(ORACLE_CMAX))
+def test_a_walk_cached_by_the_search_serves_sorted_points(fresh_orbits, spec):
+    # ``traverse_bruteforce`` leaves its walk-order slice and points in
+    # the LRU; ``enumerate_perm`` served from there must still sort
+    rs = from_spec(spec)
+    cached = polytope._enumerate_perm_cached
+    for lam in product(range(ORACLE_CMAX[spec] + 1), repeat=rs.rank):
+        cached.cache_clear()
+        cold = enumerate_perm(rs, lam)
+        cached.cache_clear()
+        traverse_bruteforce(rs, lam)
+        hits = cached.cache_info().hits
+        warm = enumerate_perm(rs, lam)
+        assert cached.cache_info().hits == hits + 1
+        assert warm == cold and list(warm.points) == sorted(warm.points), (spec, lam)
+        dominants, _ = cached(rs, lam, polytope.point_cap())
+        assert sorted(dominants) == [p for p in warm.points if min(p) >= 0], (spec, lam)
+
+
+def test_traverse_bruteforce_refuses_like_enumerate_perm(fresh_orbits):
+    a3 = from_spec("A3")
+    with scoped_cap(27):
+        with pytest.raises(errors.ResourceCapError) as want:
+            enumerate_perm(a3, (0, 1, 2))
+        with pytest.raises(errors.ResourceCapError) as got:
+            traverse_bruteforce(a3, (0, 1, 2))
+    assert str(got.value) == str(want.value)
+    assert str(got.value) == "permutohedron of (0, 1, 2) exceeds the cap of 27 points"
+    traverse_bruteforce(a3, (1, 0, 1))
+    size = polytope._enumerate_perm_cached.cache_info().currsize
+    assert size > 0
+    with pytest.raises(errors.PreconditionError, match="is not dominant"):
+        traverse_bruteforce(a3, (1, -1, 2))
+    assert polytope._enumerate_perm_cached.cache_info().currsize == size
+
+
 # the slice search of ``traverse_bruteforce`` against the full scan
 @pytest.mark.parametrize("spec", list(ORACLE_CMAX))
 def test_traverse_slice_search_matches_the_tuple_scan(spec):
@@ -415,7 +450,7 @@ def test_traverse_bruteforce_tops_every_root_step_off_the_set(monkeypatch):
     g2 = from_spec("G2")
     assert g2.pos_root_weights[0] == (-3, 2)
     points = ((0, 0), (2, 1))
-    fake = DiscretePermutohedron(center=(0, 0), points=points)
-    monkeypatch.setattr(polytope, "enumerate_perm", lambda rs, lam: fake)
+    fake = (((0, 0),), points)
+    monkeypatch.setattr(polytope, "_enumerate_perm_cached", lambda rs, lam, cap: fake)
     assert _tuple_scan(g2, points) == (0,) * 6
     assert traverse_bruteforce(g2, (0, 0)) == (0,) * 6
