@@ -51,6 +51,7 @@ from .ehrhart import (
 from .kernel import BACKEND as KERNEL_BACKEND
 from .polytope import (
     DiscretePermutohedron,
+    count_perm,
     enumerate_perm,
     is_funny,
     perm_contains,

@@ -22,7 +22,7 @@ from .firing import (
     require_good,
     stabilization_label,
 )
-from .polytope import enumerate_perm, require_within_cap
+from .polytope import count_perm, require_within_cap
 from .rootsys import RootSystem, Weight, require_dominant, subgroup_C, weyl_orbit
 
 Exponent = tuple[int, ...]
@@ -243,7 +243,7 @@ def perm_ehrhart(rs: RootSystem, lam_dom: Weight) -> FitReport:
 
     def counter(ks: int, kl: int) -> int:
         center = bounding_center(rs, lam_dom, FiringParams.make("symmetric", ks, kl))
-        return len(enumerate_perm(rs, center).points)
+        return count_perm(rs, center)
 
     return _fit(rs, lam_dom, "perm", counter, None)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from math import prod
 from operator import itemgetter, mul, sub
 
 from .errors import (
@@ -497,18 +497,40 @@ def _iter_orbit(rs: RootSystem, weight: Weight):
                     stack.append((tuple(w), i))
 
 
+@lru_cache(maxsize=None)  # at most 2^rank node sets per system
+def _parabolic_order(rs: RootSystem, nodes: tuple[int, ...]) -> int:
+    """|W_J| = Π_h (h+1)^(n_h − n_{h+1}), J the 0-based ``nodes``.
+
+    n_h counts the positive roots of height h supported on J (Kostant
+    1959; Humphreys, *Reflection Groups and Coxeter Groups*, §3.20).
+    """
+    n = [0] * (len(rs.pos_roots) + 2)
+    for root in rs.pos_roots:
+        if all(c == 0 or i in nodes for i, c in enumerate(root)):
+            n[sum(root)] += 1
+    return prod((h + 1) ** (n[h] - n[h + 1]) for h in range(1, len(n) - 1))
+
+
+def _orbit_size(rs: RootSystem, nu_dom: Weight) -> int:
+    """The Weyl orbit size |W| / |W_J| of a dominant weight with zero nodes J.
+
+    Its stabilizer is the parabolic subgroup W_J (Humphreys, §1.12).
+    """
+    zeros = tuple(i for i, c in enumerate(nu_dom) if c == 0)
+    return _parabolic_order(rs, tuple(range(rs.rank))) // _parabolic_order(rs, zeros)
+
+
 def weyl_orbit(rs: RootSystem, weight: Weight) -> tuple[Weight, ...]:
     """The full Weyl orbit, as a tuple sorted by coordinates.
 
     Walks the tree whose parent map reflects at the first negative
-    coordinate (see ``_iter_orbit``), so each point is built once.  The
-    walk stops one point past the point cap, and then raises.
+    coordinate (see ``_iter_orbit``), so each point is built once.  An
+    orbit past the point cap is refused by its size before the walk.
     """
-    from .polytope import point_cap, require_within_cap  # polytope imports this module
+    from .polytope import require_within_cap  # polytope imports this module
 
-    points = sorted(islice(_iter_orbit(rs, weight), point_cap() + 1))
-    require_within_cap(len(points), f"Weyl orbit of {tuple(weight)}")
-    return tuple(points)
+    require_within_cap(_orbit_size(rs, dominant(rs, weight)), f"Weyl orbit of {tuple(weight)}")
+    return tuple(sorted(_iter_orbit(rs, weight)))
 
 
 def minuscule_weights(rs: RootSystem) -> tuple[Weight, ...]:

@@ -10,6 +10,7 @@ import pytest
 from rootfire import errors, polytope
 from rootfire.firing import FiringParams, fiber
 from rootfire.polytope import (
+    count_perm,
     enumerate_perm,
     is_funny,
     perm_contains,
@@ -148,7 +149,7 @@ def test_enumerate_perm_cap():
 
 def test_enumerate_perm_cap_holds_before_the_orbit_is_built():
     # the orbit of rho on E6 has 51840 points; a cap of 100 must refuse it
-    # after about a hundred of them, not after building the whole orbit
+    # by its count, before any point is built
     rs = from_spec("E6")
     tracemalloc.start()
     try:
@@ -161,91 +162,77 @@ def test_enumerate_perm_cap_holds_before_the_orbit_is_built():
 
 
 @pytest.fixture
-def fresh_orbits(monkeypatch):
-    """An empty orbit memo and result cache, the process's own restored after."""
-    monkeypatch.setattr(polytope, "_ORBITS", {})
-    monkeypatch.setattr(polytope, "_orbit_points", 0)
+def cold_lru():
+    """An empty ``_enumerate_perm_cached``, emptied again after the test."""
     polytope._enumerate_perm_cached.cache_clear()
-    yield
+    yield polytope._enumerate_perm_cached
     polytope._enumerate_perm_cached.cache_clear()
 
 
-def test_enumerate_perm_cap_is_the_same_from_the_orbit_memo(fresh_orbits, monkeypatch):
-    rs = from_spec("A2")
-    full = enumerate_perm(rs, (9, 9))
+@pytest.mark.parametrize("spec,lam", [("A2", (9, 9)), ("B3", (1, 0, 1)), ("G2", (2, 1))])
+def test_the_cap_passes_at_the_size_and_refuses_one_below(cold_lru, monkeypatch, spec, lam):
+    rs = from_spec(spec)
+    full = enumerate_perm(rs, lam)
     size = len(full.points)
-    held = dict(polytope._ORBITS)
-    assert sum(map(len, held.values())) == size == polytope._orbit_points
+    with scoped_cap(size):
+        assert enumerate_perm(rs, lam) == full
+        assert count_perm(rs, lam) == size
+        assert traverse_bruteforce(rs, lam) == traverse_formula(rs, lam)
 
+    # a refusal comes from the count, and builds no point
     def no_walk(rs, nu):
         raise AssertionError(f"walked the orbit of {nu}")
 
     monkeypatch.setattr(polytope, "_iter_orbit", no_walk)
-    for cap in (1, 6, 10, 50, size - 1):
-        with pytest.raises(errors.ResourceCapError) as exc, scoped_cap(cap):
-            enumerate_perm(rs, (9, 9))
-        assert str(exc.value) == f"permutohedron of (9, 9) exceeds the cap of {cap} points"
-    assert polytope._ORBITS == held
-    with scoped_cap(size):
-        assert enumerate_perm(rs, (9, 9)) == full
+    for cap in (1, size - 1):
+        for call in (enumerate_perm, count_perm, traverse_bruteforce):
+            with pytest.raises(errors.ResourceCapError) as exc, scoped_cap(cap):
+                call(rs, lam)
+            assert str(exc.value) == f"permutohedron of {lam} exceeds the cap of {cap} points"
 
 
-def test_a_walk_cut_by_the_cap_is_not_stored(fresh_orbits):
-    e6 = from_spec("E6")
-    with pytest.raises(errors.ResourceCapError), scoped_cap(100):
-        enumerate_perm(e6, (1,) * 6)
-    assert polytope._ORBITS == {}
-    a2 = from_spec("A2")
-    with scoped_cap(6):
-        enumerate_perm(a2, (0, 0))
-        # (1, 2)'s own orbit of 6 does not fit in the memo beside (0, 0);
-        # the orbit of (0, 1) below it is cut after one point, which would
-        # fit, and is not kept
-        with pytest.raises(errors.ResourceCapError):
-            enumerate_perm(a2, (1, 2))
-    assert list(polytope._ORBITS) == [(a2, (0, 0))]
-    # (9, 9)'s own orbit of 6 fits under a cap of 10; the next one is cut
-    with pytest.raises(errors.ResourceCapError), scoped_cap(10):
-        enumerate_perm(a2, (9, 9))
-    assert list(polytope._ORBITS) == [(a2, (0, 0)), (a2, (9, 9))]
-    for (rs, nu), orbit in polytope._ORBITS.items():
-        assert tuple(sorted(orbit)) == weyl_orbit(rs, nu)
+def test_traverse_bruteforce_refuses_e8_before_building_points(cold_lru):
+    # the orbit of this center alone has 181440 points, and the whole
+    # permutohedron passes the default cap of 10^6; the count refuses it
+    # at its 18th slice point
+    rs = from_spec("E8")
+    lam = (0, 0, 0, 0, 0, 1, 1, 0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(errors.ResourceCapError) as exc:
+            traverse_bruteforce(rs, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == f"permutohedron of {lam} exceeds the cap of 1000000 points"
+    assert peak < 10**6
 
 
-def test_the_orbit_memo_holds_at_most_the_cap(fresh_orbits):
-    rs, cap = from_spec("B2"), 200
-    walked = set()
-    with scoped_cap(cap):
-        for lam in product(range(6), repeat=2):
-            try:
-                enumerate_perm(rs, lam)
-            except errors.ResourceCapError:
-                pass
-            walked.update(polytope._dominant_slice(rs, lam))
-            held = sum(map(len, polytope._ORBITS.values()))
-            assert held == polytope._orbit_points <= cap
-    # the memo filled up to within one orbit (B2's have at most 8 points),
-    # so later orbits were walked live and not kept
-    assert len(polytope._ORBITS) < len(walked)
-    assert cap - 8 < polytope._orbit_points
+@pytest.mark.parametrize(
+    "spec", [s for s in sorted(CLASSIFICATION) if from_spec(s).rank <= 4]
+)
+def test_the_slice_count_is_the_number_of_points(cold_lru, spec):
+    rs = from_spec(spec)
+    cmax = 3 if rs.rank <= 3 else 1
+    for lam in product(range(cmax + 1), repeat=rs.rank):
+        size = len(enumerate_perm(rs, lam).points)
+        assert count_perm(rs, lam) == size, (spec, lam)
 
 
 @pytest.mark.parametrize("spec,cmax", [("A2", 4), ("B2", 4), ("G2", 3), ("A3", 2), ("B3", 2)])
-def test_enumerate_perm_is_the_same_with_a_cold_or_warm_memo(fresh_orbits, spec, cmax):
-    # the seen-set rule: the sorted union of the orbits of the box slice
+def test_enumerate_perm_is_the_same_with_a_cold_or_warm_memo(cold_lru, spec, cmax):
+    # the seen-set rule: the sorted union of the orbits of the box slice;
+    # the second call of each center is served its slice by the LRU
     rs = from_spec(spec)
-    centers = list(product(range(cmax + 1), repeat=rs.rank))
-    want = [
-        tuple(sorted(p for nu in _box_slice(rs, lam) for p in weyl_orbit(rs, nu)))
-        for lam in centers
-    ]
-    cold = [enumerate_perm(rs, lam) for lam in centers]
-    polytope._enumerate_perm_cached.cache_clear()
-    warm = [enumerate_perm(rs, lam) for lam in centers]
-    assert polytope._orbit_points > 0
-    for lam, pts, a, b in zip(centers, want, cold, warm):
-        assert a.center == b.center == lam
-        assert pickle.dumps(a.points) == pickle.dumps(b.points) == pickle.dumps(pts)
+    for lam in product(range(cmax + 1), repeat=rs.rank):
+        want = tuple(sorted(p for nu in _box_slice(rs, lam) for p in weyl_orbit(rs, nu)))
+        cold_lru.cache_clear()
+        cold = enumerate_perm(rs, lam)
+        hits = cold_lru.cache_info().hits
+        warm = enumerate_perm(rs, lam)
+        assert cold_lru.cache_info().hits == hits + 1
+        assert cold.center == warm.center == lam
+        assert pickle.dumps(cold.points) == pickle.dumps(warm.points) == pickle.dumps(want)
 
 
 # point tuples recorded from the seen-set orbit enumeration
@@ -325,14 +312,13 @@ def test_traverse_examples():
 
 
 def test_traverse_bruteforce_rejects_a_negative_string_top(monkeypatch):
-    # a doctored point set that is not Weyl-stable: A2's permutohedron of
-    # (1, 1) without (-1, 2) = (1, 1) - alpha_1 (step (2, -1), coroot
-    # pairing = first coordinate), so the slice point (1, 1) is a top
-    # along -alpha_1 pairing to -1, and the search must report the -1
-    # and not return a length
+    # a doctored slice holding a point that is not dominant: on A2,
+    # (-2, 1) + alpha_1 = (-2, 1) + (2, -1) = (0, 0) is outside the slice
+    # {(1, 1), (-2, 1)}, so (-2, 1) is a top along alpha_1 pairing to -2
+    # (the coroot pairing is the first coordinate), and the search must
+    # report the -2 and not return a length
     a2 = from_spec("A2")
-    points = tuple(p for p in enumerate_perm(a2, (1, 1)).points if p != (-1, 2))
-    fake = (tuple(polytope._dominant_slice(a2, (1, 1))), points)
+    fake = (((1, 1), (-2, 1)), 7)
     monkeypatch.setattr(polytope, "_enumerate_perm_cached", lambda rs, lam, cap: fake)
     with pytest.raises(
         errors.InvariantViolationError,
@@ -397,25 +383,25 @@ def _tuple_scan(rs, points):
 
 
 @pytest.mark.parametrize("spec", list(ORACLE_CMAX))
-def test_a_walk_cached_by_the_search_serves_sorted_points(fresh_orbits, spec):
-    # ``traverse_bruteforce`` leaves its walk-order slice and points in
-    # the LRU; ``enumerate_perm`` served from there must still sort
+def test_a_walk_cached_by_the_search_serves_sorted_points(cold_lru, spec):
+    # ``traverse_bruteforce`` leaves its walk-order slice and count in the
+    # LRU; ``enumerate_perm`` served from there must still sort
     rs = from_spec(spec)
-    cached = polytope._enumerate_perm_cached
     for lam in product(range(ORACLE_CMAX[spec] + 1), repeat=rs.rank):
-        cached.cache_clear()
+        cold_lru.cache_clear()
         cold = enumerate_perm(rs, lam)
-        cached.cache_clear()
+        cold_lru.cache_clear()
         traverse_bruteforce(rs, lam)
-        hits = cached.cache_info().hits
+        hits = cold_lru.cache_info().hits
         warm = enumerate_perm(rs, lam)
-        assert cached.cache_info().hits == hits + 1
+        assert cold_lru.cache_info().hits == hits + 1
         assert warm == cold and list(warm.points) == sorted(warm.points), (spec, lam)
-        dominants, _ = cached(rs, lam, polytope.point_cap())
+        dominants, size = cold_lru(rs, lam, polytope.point_cap())
         assert sorted(dominants) == [p for p in warm.points if min(p) >= 0], (spec, lam)
+        assert size == len(warm.points), (spec, lam)
 
 
-def test_traverse_bruteforce_refuses_like_enumerate_perm(fresh_orbits):
+def test_traverse_bruteforce_refuses_like_enumerate_perm(cold_lru):
     a3 = from_spec("A3")
     with scoped_cap(27):
         with pytest.raises(errors.ResourceCapError) as want:
@@ -442,15 +428,15 @@ def test_traverse_slice_search_matches_the_tuple_scan(spec):
 
 
 def test_traverse_bruteforce_tops_every_root_step_off_the_set(monkeypatch):
-    # a doctored set of the origin and (2, 1), which is no root step from
-    # it: the slice of (0, 0) is the origin alone, so each ±β from it
-    # (G2's first positive root steps by (-3, 2), past every coordinate
-    # of the set) leaves the set, is a top pairing to 0, and every length
-    # is 0; a point of the set off the origin's root steps hides no top
+    # a doctored slice of the origin and (2, 1), which is no root step from
+    # it: each +β from the origin (G2's first positive root steps by
+    # (-3, 2), past every coordinate of the set) has a dominant point
+    # outside the slice, so it is a top pairing to 0, and every length is
+    # 0; a slice point off the origin's root steps hides no top
     g2 = from_spec("G2")
     assert g2.pos_root_weights[0] == (-3, 2)
     points = ((0, 0), (2, 1))
-    fake = (((0, 0),), points)
+    fake = (points, 2)
     monkeypatch.setattr(polytope, "_enumerate_perm_cached", lambda rs, lam, cap: fake)
     assert _tuple_scan(g2, points) == (0,) * 6
     assert traverse_bruteforce(g2, (0, 0)) == (0,) * 6

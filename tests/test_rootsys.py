@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootfire import errors
+from rootfire import rootsys as rsys
 from rootfire.polytope import scoped_cap
 from rootfire.rootsys import (
     apply_word,
@@ -278,7 +279,19 @@ def weyl_group_order(letter, n):
         return 2**n * factorial(n)
     if letter == "D":
         return 2 ** (n - 1) * factorial(n)
-    return {("G", 2): 12, ("F", 4): 1152, ("E", 6): 51840}[letter, n]
+    return {
+        ("G", 2): 12, ("F", 4): 1152,
+        ("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600,
+    }[letter, n]
+
+
+@pytest.mark.parametrize("spec", sorted(CLASSIFICATION) + ["A5", "B4", "C4", "D5"])
+def test_weyl_group_order_from_root_heights(spec):
+    rs = from_spec(spec)
+    want = weyl_group_order(rs.type_letter, rs.rank)
+    assert rsys._parabolic_order(rs, tuple(range(rs.rank))) == want
+    assert rsys._orbit_size(rs, rs.rho()) == want
+    assert rsys._orbit_size(rs, rs.zero()) == 1
 
 
 @pytest.mark.parametrize(
@@ -297,9 +310,7 @@ def test_regular_orbit_has_weyl_group_order(spec):
         assert {reflect_simple(rs, i, v) for v in orbit} == points, i
 
 
-def test_weyl_orbit_stops_one_point_past_the_cap(monkeypatch):
-    import rootfire.rootsys as rsys
-
+def test_weyl_orbit_refuses_by_count_before_walking(monkeypatch):
     rs = from_spec("E6")
     walked = []
 
@@ -313,10 +324,10 @@ def test_weyl_orbit_stops_one_point_past_the_cap(monkeypatch):
     with scoped_cap(51840):
         assert len(weyl_orbit(rs, rs.rho())) == 51840
     walked.clear()
-    with scoped_cap(100), pytest.raises(errors.ResourceCapError) as exc:
+    with scoped_cap(51839), pytest.raises(errors.ResourceCapError) as exc:
         weyl_orbit(rs, rs.rho())
-    assert len(walked) == 101
-    assert str(exc.value) == f"Weyl orbit of {rs.rho()} exceeds the cap of 100 points"
+    assert walked == []
+    assert str(exc.value) == f"Weyl orbit of {rs.rho()} exceeds the cap of 51839 points"
 
 
 def seen_set_closure(rs, weight):
