@@ -354,31 +354,39 @@ def _suite_traverse(rs, args):
     yield not mism, f"{rs.spec} traverse: {cases} cases, {len(mism)} mismatches"
 
 
-def _edge_escapes(rs, params, center) -> list[tuple]:
-    return [
-        (mu, w, j)
-        for mu in pt.enumerate_perm(rs, center).points
-        for w, j in fi.neighbors(rs, mu, params)
-        if not pt.perm_contains(rs, center, w)
-    ]
+def _escaping_lengths(rs, params, center) -> set[str]:
+    """The root lengths whose traverse length in P = Π^Q(center) is below their k.
+
+    Under symmetric firing an edge, either way, joins P to its outside
+    along exactly these.  P and the graph are W-invariant (``verify
+    symmetry``), so such an edge has a dominant end ν in P, and by
+    ``traverse_bruteforce``'s argument (at ⟨ν, β^∨⟩ = 0, s_β swaps ν ± β)
+    it is some {ν, ν + β} with β > 0 and ν a string top.  It is present iff
+    −k_β − 1 ≤ ⟨ν, β^∨⟩ ≤ k_β − 1, so one exists iff the least top pairing,
+    the traverse length along β's length, is below k_β.
+    """
+    lengths = pt.traverse_bruteforce(rs, center)
+    return {rs.length_class[j] for j, t in enumerate(lengths) if t < params.k_of(rs, j)}
 
 
 def _suite_nonescape(rs, args):
     for k in range(args.k_max + 1):
         params = fi.FiringParams.make("sym", k, k)
         centers = [fi.bounding_center(rs, bits, params) for bits in eh.full_dim_labels(rs)]
-        escapes = [(center, _edge_escapes(rs, params, center)) for center in centers]
-        for center, esc in escapes:
-            if esc:
-                yield False, f"{rs.spec} {params.label()} escapes {center}: {esc[:3]}"
-        yield not any(esc for _, esc in escapes), (
+        escapes = [(center, _escaping_lengths(rs, params, center)) for center in centers]
+        for center, lengths in escapes:
+            if lengths:
+                yield False, f"{rs.spec} {params.label()} escapes {center}: {sorted(lengths)} roots"
+        yield not any(lengths for _, lengths in escapes), (
             f"{rs.spec} {params.label()} non-escaping on {2**rs.rank} permutohedra"
         )
     if rs.spec == "B2":
         params = fi.FiringParams.make("sym", 0, 1)  # not good
-        esc = _edge_escapes(rs, params, fi.rho_of_k(rs, params))
-        alpha1 = rs.pos_root_weights[rs.root_index((1, 0))]
-        if (rs.zero(), alpha1, rs.root_index((1, 0))) in esc:
+        center, a1 = fi.rho_of_k(rs, params), rs.root_index((1, 0))
+        alpha1, zero = rs.pos_root_weights[a1], rs.zero()
+        inside = pt.perm_contains(rs, center, zero) and not pt.perm_contains(rs, center, alpha1)
+        fires = (alpha1, a1) in fi.neighbors(rs, zero, params)
+        if inside and fires and _escaping_lengths(rs, params, center) == {"long"}:
             yield True, "B2 sym k=(0,1) reproduces the known escaping edge 0 -> a1"
         else:
             yield False, "B2 sym k=(0,1) does not reproduce the known escaping edge"

@@ -13,11 +13,13 @@ from fractions import Fraction
 from itertools import product
 from math import prod
 
-from .errors import DomainError, FitInconsistentError, PreconditionError
+from .errors import DomainError, FitInconsistentError, InvariantViolationError, PreconditionError
 from .firing import (
     FiringParams,
     bounding_center,
+    eta,
     fiber,
+    graph_symmetry_breaks,
     quotient_affine_image,
     require_good,
     stabilization_label,
@@ -361,21 +363,24 @@ def tr_symmetry_scan(
 ) -> tuple[tuple[Weight, int, bool], ...]:
     """Observed-only check: do truncated fibers respect the affine symmetry?
 
-    For each label and each nontrivial element of the lattice-quotient
-    subgroup, compares the fiber of the transported label with the
-    transported fiber.  This is empirical data, never asserted by the
+    For each label λ and each nontrivial element g of the lattice-quotient
+    subgroup, g is a graph automorphism (a ``graph_symmetry_breaks`` break
+    raises), so it carries the fiber of λ, the component of η(λ), onto the
+    component of g(η(λ)).  That is the fiber of g(λ) iff the label of
+    g(η(λ)) is g(λ).  This is empirical data, never asserted by the
     library.  ``params`` must be truncated.
     """
     if params.kind != "truncated":
         raise PreconditionError(f"the affine symmetry scan takes tr firing, got {params.short}")
-    elements = subgroup_C(rs)
+    if graph_symmetry_breaks(rs, params):
+        raise InvariantViolationError(f"{params.label()} is not C-invariant on {rs.spec}")
+    elements = subgroup_C(rs)[1:]  # C[0] is the identity
     out = []
     for lam in labels:
-        base = fiber(rs, lam, params)
-        for idx, element in enumerate(elements[1:], 1):  # C[0] is the identity
-            moved_label = quotient_affine_image(rs, element, tuple(lam))
-            moved_fiber = {quotient_affine_image(rs, element, v) for v in base}
-            agrees = set(fiber(rs, moved_label, params)) == moved_fiber
+        sink = eta(rs, lam, params)
+        for idx, g in enumerate(elements, 1):
+            moved = quotient_affine_image(rs, g, sink)
+            agrees = stabilization_label(rs, moved, params) == quotient_affine_image(rs, g, lam)
             out.append((tuple(lam), idx, agrees))
     return tuple(out)
 

@@ -7,6 +7,7 @@ import re
 import threading
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from rootfire import ehrhart as eh
 from rootfire import errors
 from rootfire import firing as fi
 from rootfire import polytope as pt
+from rootfire import rootsys as rsys
 from rootfire.cli import main
 from rootfire.ehrhart import decomposition_check
 from rootfire.rootsys import from_spec
@@ -609,15 +611,6 @@ def test_decompose_checks_k_zero(capsys):
     ]
 
 
-def _escape_at_k1(real):
-    # one extra out-edge far outside every permutohedron, for k = 1 only
-    def neighbors(rs, weight, params):
-        extra = [((99,) * rs.rank, 0)] if params.k_short == 1 else []
-        return real(rs, weight, params) + extra
-
-    return neighbors
-
-
 # suite -> (module, function, stub built from the real function, lines it must print)
 FAILING_CHECKS = {
     # every weight reaches two sinks; its seeded orders still agree
@@ -637,9 +630,11 @@ FAILING_CHECKS = {
         pt, "traverse_formula", lambda real: lambda *a: tuple(x + 1 for x in real(*a)),
         ["FAIL - A2 traverse: 27 cases, 27 mismatches"],
     ),
-    # only k = 1 escapes: its summary is FAIL, the summary of k = 0 stays ok
+    # each positive traverse length one shorter: only k = 1 reads one below
+    # its k, so its summary is FAIL and the summary of k = 0 stays ok
     "nonescape": (
-        fi, "neighbors", _escape_at_k1,
+        pt, "traverse_bruteforce",
+        lambda real: lambda *a: tuple(max(x - 1, 0) for x in real(*a)),
         [
             "ok - A2 sym k=(0,0) non-escaping on 4 permutohedra",
             "FAIL - A2 sym k=(1,1) non-escaping on 4 permutohedra",
@@ -692,6 +687,106 @@ def test_b2_nonescape_fails_without_the_known_escaping_edge(capsys, monkeypatch)
     assert code == 2, out
     assert out.splitlines() == [
         "ok - B2 sym k=(0,0) non-escaping on 4 permutohedra",
+        "FAIL - B2 sym k=(0,1) does not reproduce the known escaping edge",
+        "suite nonescape on B2: FAIL",
+    ]
+
+
+def _leaving_lengths(rs, params, center):
+    """The root lengths of the edges, out- or in-, that join the permutohedron to its outside.
+
+    An oracle over every point: x -> x + beta is an edge when beta fires at
+    x, and x - beta -> x when beta fires at x - beta.
+    """
+    points = pt.enumerate_perm(rs, center).points
+    inside = set(points)
+    found = set()
+    for x in points:
+        for j, step in enumerate(rs.pos_root_weights):
+            up = tuple(a + b for a, b in zip(x, step))
+            down = tuple(a - b for a, b in zip(x, step))
+            out_edge = j in fi.fireable_roots(rs, x, params) and up not in inside
+            in_edge = j in fi.fireable_roots(rs, down, params) and down not in inside
+            if out_edge or in_edge:
+                found.add(rs.length_class[j])
+    return found
+
+
+def _sym_rows(rs, k_max):
+    """Symmetric parameters with each k at most k_max.
+
+    With two root lengths, every (k_short, k_long) pair, the non-good
+    (0, k_long) ones included.
+    """
+    rows = [(k, k) for k in range(k_max + 1)]
+    if not rs.simply_laced:
+        rows += [(ks, kl) for ks in range(k_max + 1) for kl in range(k_max + 1) if ks != kl]
+    return [fi.FiringParams.make("sym", ks, kl) for ks, kl in rows]
+
+
+@pytest.mark.parametrize("spec", ["A2", "B2", "G2", "A3", "B3", "C3"])
+def test_escaping_lengths_match_an_undirected_point_oracle(spec):
+    # an edge leaves in either direction exactly along the root lengths
+    # whose traverse length is below their k
+    rs = from_spec(spec)
+    base = 3 if rs.rank == 2 else 2
+    labels = list(product(range(base), repeat=rs.rank))
+    escaping = 0
+    for params in _sym_rows(rs, 2):
+        for lam in labels:
+            center = fi.bounding_center(rs, lam, params)
+            short = cli._escaping_lengths(rs, params, center)
+            assert short == _leaving_lengths(rs, params, center), (params, lam)
+            escaping += bool(short)
+    # the two non-good rows, at the labels that are 0 at both long-short nodes
+    assert escaping == (0 if rs.simply_laced else 2 * len(labels) // base**2)
+
+
+ALL_UP_TO_RANK_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2"]
+
+
+@pytest.mark.parametrize("spec", ALL_UP_TO_RANK_4)
+def test_escapes_are_the_non_good_funny_labels(spec):
+    # goodness corollary: P(dom(lambda) + rho_k) lets an edge out exactly
+    # when k_short = 0 < k_long and lambda is 0 at both nodes of the
+    # long-short Dynkin edge
+    rs = from_spec(spec)
+    k_max = 1 if rs.rank == 4 else 2
+    links = [(i, j) for i, row in enumerate(rs.dynkin_links) for j, a in row if a < -1]
+    for params in _sym_rows(rs, k_max):
+        for lam in product(range(k_max + 1), repeat=rs.rank):
+            center = fi.bounding_center(rs, lam, params)
+            escapes = bool(cli._escaping_lengths(rs, params, center))
+            funny = any(lam[i] == lam[j] == 0 for i, j in links)
+            assert escapes == (params.k_short == 0 < params.k_long and funny), (params, lam)
+
+
+def test_nonescape_builds_no_permutohedron_point(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a permutohedron point was built")
+
+    for module, name in ((rsys, "_iter_orbit"), (pt, "_iter_orbit"), (pt, "enumerate_perm")):
+        monkeypatch.setattr(module, name, refuse)
+    pt._enumerate_perm_cached.cache_clear()
+    code, out, _ = run(capsys, "verify", "nonescape", "B2", "--k", "1")
+    assert code == 0 and out.splitlines()[-2:] == [
+        "ok - B2 sym k=(0,1) reproduces the known escaping edge 0 -> a1",
+        "suite nonescape on B2: PASS",
+    ]
+    code, out, _ = run(capsys, "verify", "nonescape", "D4")
+    assert code == 0 and out.endswith("suite nonescape on D4: PASS\n")
+
+
+def test_b2_nonescape_fails_when_the_traverse_misses_the_long_roots(capsys, monkeypatch):
+    # the known edge is still there, but a traverse search that flags no
+    # root under sym k=(0,1) contradicts it
+    real = pt.traverse_bruteforce
+    monkeypatch.setattr(
+        pt, "traverse_bruteforce", lambda rs, center: tuple(x + 1 for x in real(rs, center))
+    )
+    code, out, _ = run(capsys, "verify", "nonescape", "B2", "--k", "0")
+    assert code == 2, out
+    assert out.splitlines()[-2:] == [
         "FAIL - B2 sym k=(0,1) does not reproduce the known escaping edge",
         "suite nonescape on B2: FAIL",
     ]

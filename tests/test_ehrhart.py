@@ -19,16 +19,24 @@ from rootfire.ehrhart import (
     iterate_check,
     perm_ehrhart,
     reference_poly,
+    tr_symmetry_scan,
 )
 from rootfire.errors import (
     DomainError,
     FitInconsistentError,
+    InvariantViolationError,
     PreconditionError,
     ResourceCapError,
 )
-from rootfire.firing import FiringParams, coord_box, fiber, stabilization_label
+from rootfire.firing import (
+    FiringParams,
+    coord_box,
+    fiber,
+    quotient_affine_image,
+    stabilization_label,
+)
 from rootfire.polytope import scoped_cap
-from rootfire.rootsys import from_spec
+from rootfire.rootsys import from_spec, subgroup_C
 
 
 def poly1(d):
@@ -395,8 +403,6 @@ def test_sum_identity_sym_equals_sum_of_tr():
 def test_tr_symmetry_scan_reports_agreement():
     # empirical observation, surfaced by the conjectures suite: truncated
     # fibers appear to transport along the affine lattice-quotient symmetry
-    from rootfire.ehrhart import tr_symmetry_scan
-
     a2 = from_spec("A2")
     rows = tr_symmetry_scan(a2, full_dim_labels(a2), FiringParams.make("tr", 1))
     assert rows and all(agrees for _, _, agrees in rows)
@@ -404,12 +410,53 @@ def test_tr_symmetry_scan_reports_agreement():
     assert tr_symmetry_scan(g2, full_dim_labels(g2), FiringParams.make("tr", 1)) == ()
 
 
+def _two_fiber_scan(rs, labels, params):
+    """The affine-symmetry rows by transporting whole fibers: the oracle of the scan."""
+    fibers = {}
+
+    def fiber_of(lam):
+        if lam not in fibers:
+            fibers[lam] = set(fiber(rs, lam, params))
+        return fibers[lam]
+
+    return tuple(
+        (lam, idx, fiber_of(quotient_affine_image(rs, g, lam))
+         == {quotient_affine_image(rs, g, v) for v in fiber_of(lam)})
+        for lam in labels
+        for idx, g in enumerate(subgroup_C(rs)[1:], 1)
+    )
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "D4"])
+def test_tr_symmetry_scan_matches_the_two_fiber_comparison(spec):
+    rs = from_spec(spec)
+    labels = full_dim_labels(rs, dominant_only=False)
+    for k in range(3):
+        params = FiringParams.make("tr", k)
+        rows = tr_symmetry_scan(rs, labels, params)
+        assert len(rows) == len(labels) * (len(subgroup_C(rs)) - 1)
+        assert rows == _two_fiber_scan(rs, labels, params), k
+
+
+def test_tr_symmetry_scan_reads_the_label_of_the_moved_sink(monkeypatch):
+    # a stabilization that lands one label off breaks every row, and a
+    # map that is not a graph automorphism is refused before any row
+    a2, params = from_spec("A2"), FiringParams.make("tr", 1)
+    real = ehrhart.stabilization_label
+    monkeypatch.setattr(
+        ehrhart, "stabilization_label", lambda *a: tuple(x + 1 for x in real(*a))
+    )
+    rows = tr_symmetry_scan(a2, full_dim_labels(a2), params)
+    assert rows and not any(agrees for _, _, agrees in rows)
+    monkeypatch.setattr(ehrhart, "graph_symmetry_breaks", lambda rs, p: (("C[1]", (1, 0)),))
+    with pytest.raises(InvariantViolationError):
+        tr_symmetry_scan(a2, full_dim_labels(a2), params)
+
+
 @pytest.mark.parametrize("kind", ["sym", "central"])
 def test_tr_symmetry_scan_refuses_other_kinds(kind):
     # the scan transports truncated fibers; any other kind is refused, not
     # silently read as truncated
-    from rootfire.ehrhart import tr_symmetry_scan
-
     a2 = from_spec("A2")
     with pytest.raises(PreconditionError) as exc:
         tr_symmetry_scan(a2, full_dim_labels(a2), FiringParams.make(kind, 0))
