@@ -85,8 +85,9 @@ def stabilize(pair, gram, lo, hi, budget, seed=None, limit=None):
     first fireable root in positive-root order; otherwise roots are
     drawn with splitmix64 from a seed in [0, 2**64).  ``limit`` ends the
     run after that many firings, stable or not, in either order.
+    ``pair`` is never changed: each firing rebinds ``p`` to a new list.
     """
-    p = list(pair)
+    p = pair
     m = len(p)
     steps = 0
     # one bound test per firing: the budget is overrun at budget + 1 steps

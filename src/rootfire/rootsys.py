@@ -217,6 +217,10 @@ class RootSystem:
             tuple((k, a) for k, a in enumerate(row) if a and k != i)
             for i, row in enumerate(self.cartan)
         )
+        # where ``_to_dominant`` resumes its scan after reflecting at node i
+        self._rescan_from = tuple(
+            min([i + 1] + [k for k, _ in ks]) for i, ks in enumerate(self.dynkin_links)
+        )
         self.symmetrizer = _symmetrizer(self.cartan)
         self.index_of_connection, self._scaled_inv_t = _scaled_inverse_transpose(
             self.cartan
@@ -409,24 +413,29 @@ def _to_dominant(rs: RootSystem, v: list, word: list | None) -> None:
     """Reflect ``v`` in place at its first negative coordinate until dominant.
 
     Appends each reflected node (1-based) to ``word`` unless it is None.
+    Reflecting at the first negative coordinate j makes it positive and
+    lowers only j's Dynkin neighbours, so every coordinate before the
+    least of them and j + 1 stays nonnegative: the next scan resumes
+    there (``RootSystem._rescan_from``), not at 0.  The reflections are
+    those of a scan from 0, in the same order.
     """
-    links = rs.dynkin_links
+    links, rescan, n = rs.dynkin_links, rs._rescan_from, len(v)
     limit = len(rs.pos_roots) + 1
-    steps = 0
-    while True:
-        for j, c in enumerate(v):
-            if c < 0:
-                break
+    steps = j = 0
+    while j < n:
+        c = v[j]
+        if c < 0:
+            v[j] = -c
+            for k, a in links[j]:
+                v[k] -= c * a
+            if word is not None:
+                word.append(j + 1)
+            steps += 1
+            if steps > limit:
+                raise InvariantViolationError("dominant_rep failed to terminate")
+            j = rescan[j]
         else:
-            return
-        v[j] = -c
-        for k, a in links[j]:
-            v[k] -= c * a
-        if word is not None:
-            word.append(j + 1)
-        steps += 1
-        if steps > limit:
-            raise InvariantViolationError("dominant_rep failed to terminate")
+            j += 1
 
 
 def dominant_rep(rs: RootSystem, weight: Weight) -> tuple[Weight, WeylWord]:

@@ -260,6 +260,29 @@ def test_shared_table_keeps_distinct_orders_apart(spec):
     assert sinks <= set(reachable_central_sinks(rs, zero))
 
 
+@pytest.mark.parametrize("spec", ["A2", "B2", "G2", "A3"])
+def test_the_kernel_leaves_its_input_list_unchanged(spec):
+    # check_confluence_random hands one pairing list to every seeded order,
+    # and the kernel does not copy it: in both orders the list must come
+    # back unchanged, and runs that share it must end where runs on
+    # copies do
+    rs = from_spec(spec)
+    seeds = (None, *SHARED_SEEDS)
+    fired = 0
+    for params in _oracle_params(rs):
+        lo, hi = _bounds(rs, params)
+        for v in _oracle_weights(rs):
+            pair = kernel.pairings(rs._coroot_chain, v)
+            kept = list(pair)
+            budget = _reference_budget(rs, v, params)
+            shared = [kernel.stabilize(pair, rs.pos_gram, lo, hi, budget, s) for s in seeds]
+            assert pair == kept, (spec, params, v)
+            copies = [kernel.stabilize(list(kept), rs.pos_gram, lo, hi, budget, s) for s in seeds]
+            assert shared == copies, (spec, params, v)
+            fired += sum(steps > 0 for _, steps in shared)
+    assert fired
+
+
 def test_seeded_runs_past_the_memo_match_the_reference():
     rs = from_spec("B2")
     for seed in (1, 7):

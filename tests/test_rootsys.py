@@ -226,10 +226,12 @@ def _neg_pairing_count(rs, weight):
     )
 
 
-@pytest.mark.parametrize("spec", ["A1", "A2", "B2", "G2", "A3"])
+@pytest.mark.parametrize("spec", ["A1", "A2", "B2", "G2", "A3", "D4", "F4"])
 def test_dominant_rep_box_properties(spec):
+    # [-3, 3]^n up to rank 3; the branched D4 and the two-length F4 on [-2, 2]^4
     rs = from_spec(spec)
-    for w in product(range(-3, 4), repeat=rs.rank):
+    bound = 3 if rs.rank < 4 else 2
+    for w in product(range(-bound, bound + 1), repeat=rs.rank):
         dom, word = dominant_rep(rs, w)
         assert all(c >= 0 for c in dom)
         assert apply_word(rs, word, dom) == w
@@ -238,6 +240,30 @@ def test_dominant_rep_box_properties(spec):
         dom2, word2 = dominant_rep(rs, dom)
         assert dom2 == dom and word2 == ()
         assert dominant(rs, w) == dom
+
+
+def _rescanned_dominant_rep(rs, weight):
+    """The greedy chamber walk that rescans from node 1 after each reflection."""
+    v, word = tuple(weight), []
+    while True:
+        j = next((j for j, c in enumerate(v) if c < 0), None)
+        if j is None:
+            return v, tuple(reversed(word))
+        v = reflect_simple(rs, j + 1, v)
+        word.append(j + 1)
+
+
+@pytest.mark.parametrize("spec", ["D4", "D5", "E6", "E7", "E8", "F4", "B4", "C4"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_the_resumed_chamber_walk_matches_a_full_rescan(spec, data):
+    # on branched and higher-rank diagrams a node's lowest neighbour can lie
+    # well below it, which is where a resumed scan could skip a negative
+    rs = from_spec(spec)
+    w = tuple(data.draw(st.lists(st.integers(-6, 6), min_size=rs.rank, max_size=rs.rank)))
+    dom, word = _rescanned_dominant_rep(rs, w)
+    assert dominant_rep(rs, w) == (dom, word)
+    assert dominant(rs, w) == dom
 
 
 def test_root_order_examples():
